@@ -58,7 +58,6 @@ import numpy as np
 from repro.errors import InvalidStretchError
 from repro.core.spanner import Spanner
 from repro.graph.csr import CSRAdjacency, SharedCSRDescriptor, attach_csr, share_csr
-from repro.graph.heap import IndexedDaryHeap
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import csr_bounded_search, indexed_bidirectional_cutoff
 from repro.graph.weighted_graph import WeightedEdge, WeightedGraph
@@ -144,12 +143,8 @@ def _csr_as_pairs(csr: CSRAdjacency) -> list[list[tuple[float, int]]]:
 # Per-process scratch of the scalar filter kernel, keyed by vertex count:
 # a flat tentative-distance array plus a generation stamp so starting a ball
 # is one counter increment, not an O(n) clear (the same trick as the CSR
-# search scratch and the d-ary heap's lazy reset).
+# search scratch).
 _SCALAR_SCRATCH: dict[int, tuple[list[float], list[int], list[int]]] = {}
-
-# Per-process decrease-key heaps of the ``search_mode="heap"`` filter
-# kernel, keyed by vertex count (generation-stamped, so reuse is O(1)).
-_HEAP_SCRATCH: dict[int, IndexedDaryHeap] = {}
 
 
 def _scalar_scratch(n: int) -> tuple[list[float], list[int], list[int]]:
@@ -218,48 +213,11 @@ def _scalar_ball(
     return settled_ids
 
 
-def _heap_ball(
-    pairs: list[list[tuple[float, int]]],
-    source: int,
-    radius: float,
-    heap: IndexedDaryHeap,
-    dist: list[float],
-    stamp: list[int],
-    gen: int,
-) -> list[int]:
-    """The decrease-key twin of :func:`_scalar_ball` on the d-ary heap core.
-
-    Identical settled ids and distances by the total-order argument of
-    :mod:`repro.graph.heap` (the builds-match tests assert the resulting
-    spanner is byte-identical for ``search_mode="heap"``).  Results are
-    reported through the same ``(dist, stamp, gen)`` scratch interface as
-    the scalar kernel so the caller's candidate checks are kernel-agnostic.
-    """
-    heap.clear()
-    heap.insert(source, 0.0)
-    settled_ids: list[int] = []
-    append = settled_ids.append
-    pop_min = heap.pop_min
-    relax = heap.relax
-    while len(heap):
-        d, vertex = pop_min()
-        append(vertex)
-        dist[vertex] = d
-        stamp[vertex] = gen
-        for weight, neighbour in pairs[vertex]:
-            new_dist = d + weight
-            if new_dist > radius:
-                break  # rows are weight-sorted: every later neighbour overshoots
-            relax(neighbour, new_dist)
-    return settled_ids
-
-
 def _filter_groups(
     frozen: CSRAdjacency,
     pairs: Optional[list[list[tuple[float, int]]]],
     groups: list[FilterGroup],
     t: float,
-    search_mode: str = "list",
 ) -> ShardResult:
     """Decide one shard of per-source groups against the frozen snapshot.
 
@@ -269,34 +227,21 @@ def _filter_groups(
     ``(min << 32) | max`` key encoding — the packing is vectorized here (one
     numpy min/max/shift per ball) so the parent's merge is a single
     ``set.update``.  Pure function of the arguments — and the kernel choice
-    is part of the arguments (``pairs`` non-None selects the scalar kernel,
-    ``search_mode`` the queue discipline), so verdicts, counts and harvests
-    never depend on the worker count: the determinism anchor.
+    is part of the arguments (``pairs`` non-None selects the scalar kernel),
+    so verdicts, counts and harvests never depend on the worker count: the
+    determinism anchor.
     """
     candidates: list[int] = []
     settles = 0
     covered: list[int] = []
-    heap_kernel = search_mode == "heap" and pairs is not None
     if pairs is not None:
         dist, stamp, genbox = _scalar_scratch(len(pairs))
-        if heap_kernel:
-            n = len(pairs)
-            heap = _HEAP_SCRATCH.get(n)
-            if heap is None:
-                heap = _HEAP_SCRATCH[n] = IndexedDaryHeap(n)
     for source_id, items in groups:
         if pairs is not None:
             radius = t * items[-1][2]  # canonical order: last item has max weight
             genbox[0] += 1
             gen = genbox[0]
-            if heap_kernel:
-                settled_ids = _heap_ball(
-                    pairs, source_id, radius, heap, dist, stamp, gen,
-                )
-            else:
-                settled_ids = _scalar_ball(
-                    pairs, source_id, radius, dist, stamp, gen,
-                )
+            settled_ids = _scalar_ball(pairs, source_id, radius, dist, stamp, gen)
             settles += len(settled_ids)
             ids = np.fromiter(settled_ids, dtype=np.int64, count=len(settled_ids))
             packed = (np.minimum(ids, source_id) << 32) | np.maximum(ids, source_id)
@@ -321,7 +266,7 @@ def _filter_groups(
 def _filter_shard(payload) -> ShardResult:
     """Worker entry point: attach the published snapshot, decide the shard."""
     global _ATTACHED_PAIRS
-    frozen, shard, t, scalar_kernel, band_index, search_mode = payload
+    frozen, shard, t, scalar_kernel, band_index = payload
     if _KILL_AT_BAND is not None and band_index == _KILL_AT_BAND:
         # Chaos injection: die exactly the way a OOM-killed or crashed
         # worker would — no exception, no cleanup, the process just stops.
@@ -339,7 +284,7 @@ def _filter_shard(payload) -> ShardResult:
             pairs = _ATTACHED_PAIRS[1]
         else:
             pairs = _csr_as_pairs(frozen)
-    return _filter_groups(frozen, pairs, shard, t, search_mode)
+    return _filter_groups(frozen, pairs, shard, t)
 
 
 def _pack_pair(a: int, b: int) -> int:
@@ -422,7 +367,6 @@ def parallel_greedy_spanner(
     bands: int = DEFAULT_BANDS,
     band_edges: Optional[int] = None,
     edges: Optional[Iterable[WeightedEdge]] = None,
-    search_mode: str = "list",
 ) -> Spanner:
     """Build the greedy ``t``-spanner on the CSR + band-parallel path.
 
@@ -449,12 +393,6 @@ def parallel_greedy_spanner(
     edges:
         Optional canonical-order edge source overriding
         ``graph.edges_sorted_by_weight()`` (e.g. the streaming pipeline).
-    search_mode:
-        ``"list"`` (default) runs the seed lazy-heapq filter/replay
-        kernels; ``"heap"`` runs the decrease-key twins on the int-indexed
-        d-ary heap core of :mod:`repro.graph.heap`.  Byte-identical spanner
-        and identical deterministic counters either way (the total-order
-        tie-break argument; asserted by the builds-match tests).
 
     Returns
     -------
@@ -467,12 +405,8 @@ def parallel_greedy_spanner(
         memory) and ``dijkstra_settles`` (filter + replay total, comparable
         with the serial strategies).
     """
-    if t < 1.0:
+    if not t >= 1.0:
         raise InvalidStretchError(f"stretch must be at least 1, got {t}")
-    if search_mode not in ("list", "heap"):
-        raise ValueError(
-            f"unknown search mode {search_mode!r} (expected 'list' or 'heap')"
-        )
     from repro.experiments.harness import (
         deterministic_shards,
         fork_available,
@@ -570,14 +504,7 @@ def parallel_greedy_spanner(
                     results = pool.map(
                         _filter_shard,
                         [
-                            (
-                                payload_frozen,
-                                shard,
-                                t,
-                                scalar_kernel,
-                                band_count - 1,
-                                search_mode,
-                            )
+                            (payload_frozen, shard, t, scalar_kernel, band_count - 1)
                             for shard in shards
                         ],
                     )
@@ -598,7 +525,7 @@ def parallel_greedy_spanner(
                         shm.unlink()
             if results is None and group_items:
                 pairs = _csr_as_pairs(frozen) if scalar_kernel else None
-                results = [_filter_groups(frozen, pairs, group_items, t, search_mode)]
+                results = [_filter_groups(frozen, pairs, group_items, t)]
             results = results or []
             candidates = sorted(chain.from_iterable(part for part, _, _ in results))
             filter_settles += sum(settles for _, settles, _ in results)
@@ -609,7 +536,7 @@ def parallel_greedy_spanner(
                 u, v, uid, vid, weight = info[canonical_index]
                 cutoff = t * weight
                 distance, settled_f, settled_b = indexed_bidirectional_cutoff(
-                    mirror, uid, vid, cutoff, mode=search_mode
+                    mirror, uid, vid, cutoff
                 )
                 replay_settles += len(settled_f) + len(settled_b)
                 # Replay half-balls are certified bounds on the live (even
@@ -660,7 +587,6 @@ def parallel_greedy_spanner_of_metric(
     *,
     workers: Optional[int] = 1,
     bands: int = DEFAULT_BANDS,
-    search_mode: str = "list",
 ) -> Spanner:
     """Band-parallel greedy on the complete graph of a finite metric space.
 
@@ -676,7 +602,6 @@ def parallel_greedy_spanner_of_metric(
         workers=workers,
         bands=bands,
         edges=sorted_pair_stream(metric),
-        search_mode=search_mode,
     )
     spanner.algorithm = "greedy-parallel-metric"
     return spanner

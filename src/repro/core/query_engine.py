@@ -1,26 +1,13 @@
-"""Batched multi-source distance queries on one reusable heap.
+"""Batched multi-source distance queries: one early-stopped search per source.
 
 Answering ``q`` point-to-point distance queries with the seed per-query
-path costs ``q`` independent lazy-``heapq`` Dijkstras, each paying for a
-fresh heap list, a fresh distance dictionary and a full search from its
-source even when many queries share one.  The :class:`QueryEngine` removes
-all three costs at once:
-
-* **One heap, forever.**  A single preallocated
-  :class:`~repro.graph.heap.IndexedDaryHeap` serves every query the engine
-  will ever answer.  Its generation stamp makes :meth:`IndexedDaryHeap.clear`
-  O(1) — between searches nothing is swept, zeroed or reallocated, so the
-  per-query setup cost is a counter increment instead of an O(n) reinit.
-* **One distance array.**  The heap's key slab *is* the distance array:
-  during a search ``key_of(v)`` holds the tentative distance, and at pop
-  time the popped key is the final one.  The stamp that unsees heap slots
-  unsees the distances too, so no separate ``dist`` dict is built or torn
-  down per query.
-* **Source grouping with early stop.**  Queries are grouped by source;
-  each distinct source runs a single decrease-key Dijkstra that stops as
-  soon as the *last* of its targets settles.  A batch with ``q`` queries
-  over ``s`` distinct sources costs ``s`` searches, not ``q`` — the regime
-  the overlay experiments live in (many demands, few distinct sources).
+path costs ``q`` independent lazy-``heapq`` Dijkstras, each searching from
+its source even when many queries share one.  The :class:`QueryEngine`
+groups the queries by source instead: each distinct source runs a single
+lazy-``heapq`` Dijkstra that stops as soon as the *last* of its targets
+settles.  A batch with ``q`` queries over ``s`` distinct sources costs
+``s`` searches, not ``q`` — the regime the overlay experiments live in
+(many demands, few distinct sources).
 
 The batched answers are **exactly** the reference answers, not merely
 close: for a fixed adjacency, every Dijkstra variant settles a vertex at
@@ -43,12 +30,8 @@ from heapq import heappop, heappush
 from typing import Sequence, Union
 
 from repro.errors import VertexNotFoundError
-from repro.graph.heap import IndexedDaryHeap
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.weighted_graph import Vertex, WeightedGraph
-
-#: Heap arity of the engine's search heap (see docs/PERFORMANCE.md).
-DEFAULT_QUERY_ARITY = 4
 
 
 class QueryEngine:
@@ -61,35 +44,26 @@ class QueryEngine:
         :class:`~repro.graph.indexed_graph.IndexedGraph` (used as-is, shared
         adjacency) or any :class:`~repro.graph.weighted_graph.WeightedGraph`
         (translated once at construction).
-    arity:
-        Arity of the search heap (default 4; see ``docs/PERFORMANCE.md``).
 
-    The engine observes edges appended to a shared ``IndexedGraph`` after
-    construction (the adjacency arrays are live), so one engine can serve a
-    growing spanner mirror; capacity grows lazily when new vertices are
-    interned.  All counters are cumulative across batches.
+    The engine observes edges and vertices appended to a shared
+    ``IndexedGraph`` after construction (the adjacency arrays are live), so
+    one engine can serve a growing spanner mirror.  All counters are
+    cumulative across batches.
     """
 
     __slots__ = (
         "_indexed",
-        "_heap",
         "query_count",
         "batch_count",
         "source_count",
         "settled_count",
     )
 
-    def __init__(
-        self,
-        graph: Union[IndexedGraph, WeightedGraph],
-        *,
-        arity: int = DEFAULT_QUERY_ARITY,
-    ) -> None:
+    def __init__(self, graph: Union[IndexedGraph, WeightedGraph]) -> None:
         if isinstance(graph, IndexedGraph):
             self._indexed = graph
         else:
             self._indexed = IndexedGraph.from_weighted_graph(graph)
-        self._heap = IndexedDaryHeap(self._indexed.number_of_vertices, arity)
         #: Queries answered (one per (source, target) pair).
         self.query_count = 0
         #: Batches served (calls to :meth:`run_queries_ids`).
@@ -141,10 +115,8 @@ class QueryEngine:
     ) -> list[float]:
         """Answer the paired queries ``(sources[i], targets[i])`` by dense id.
 
-        Queries are grouped by source; each distinct source costs one
-        decrease-key Dijkstra early-stopped at its last-settling target.
-        The one preallocated heap is reset between sources by a generation
-        bump (O(1)), never by a sweep.
+        Queries are grouped by source; each distinct source costs one lazy
+        Dijkstra early-stopped at its last-settling target.
         """
         if len(sources) != len(targets):
             raise ValueError(
@@ -152,10 +124,6 @@ class QueryEngine:
                 f"{len(sources)} sources vs {len(targets)} targets"
             )
         n = self._indexed.number_of_vertices
-        heap = self._heap
-        if heap.capacity < n:
-            # New vertices were interned since construction: regrow once.
-            heap = self._heap = IndexedDaryHeap(n, heap.arity)
 
         results = [math.inf] * len(sources)
         # source -> {target -> [result slots]} in first-seen order; one
@@ -179,28 +147,33 @@ class QueryEngine:
                 slots.append(slot)
 
         neighbour_ids, neighbour_weights = self._indexed.adjacency_arrays()
-        relax = heap.relax
-        pop = heap.pop_min
+        inf = math.inf
         settled = 0
         for source, target_slots in pending.items():
-            heap.clear()
-            heap.insert(source, 0.0)
+            dist = {source: 0.0}
+            get = dist.get
+            heap: list[tuple[float, int]] = [(0.0, source)]
             remaining = len(target_slots)
             get_slots = target_slots.get
-            while remaining and len(heap):
-                dist, vertex = pop()
+            while heap:
+                d, vertex = heappop(heap)
+                if d > get(vertex, inf):
+                    continue  # stale entry superseded by a strict improvement
                 settled += 1
                 slots = get_slots(vertex)
                 if slots is not None:
                     for slot in slots:
-                        results[slot] = dist
+                        results[slot] = d
                     remaining -= 1
                     if not remaining:
                         break
                 for neighbour, weight in zip(
                     neighbour_ids[vertex], neighbour_weights[vertex]
                 ):
-                    relax(neighbour, dist + weight)
+                    new_dist = d + weight
+                    if new_dist < get(neighbour, inf):
+                        dist[neighbour] = new_dist
+                        heappush(heap, (new_dist, neighbour))
         self.settled_count += settled
         self.query_count += len(sources)
         self.batch_count += 1

@@ -29,12 +29,52 @@ directly.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from typing import Any
 
-from repro.graph.heap import EventQueue
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.weighted_graph import WeightedGraph
+
+
+class EventQueue:
+    """The shared ``(time, sequence, *payload)`` heap of the distributed engines.
+
+    Push ``(time, sequence) + payload`` and bump the sequence, so
+    simultaneous events replay in creation order: the event order is total
+    and every chaos replay in :mod:`repro.distributed.resilient` is
+    reproducible tie for tie.  :meth:`drop` advances the sequence *without*
+    pushing — a lost message must still consume its sequence number or the
+    replay timeline of every later event would shift.
+    """
+
+    __slots__ = ("_heap", "_sequence")
+
+    def __init__(self) -> None:
+        self._heap: list[tuple] = []
+        self._sequence = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    @property
+    def sequence(self) -> int:
+        """The next sequence number to be consumed."""
+        return self._sequence
+
+    def push(self, time: float, *payload: Any) -> None:
+        """Enqueue ``(time, sequence, *payload)`` and advance the sequence."""
+        heapq.heappush(self._heap, (time, self._sequence) + payload)
+        self._sequence += 1
+
+    def drop(self) -> None:
+        """Consume a sequence number without enqueuing anything."""
+        self._sequence += 1
+
+    def pop(self) -> tuple:
+        """Dequeue and return the earliest ``(time, sequence, *payload)``."""
+        return heapq.heappop(self._heap)
 
 
 def indexed_overlay(overlay: WeightedGraph) -> IndexedGraph:

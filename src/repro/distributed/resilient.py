@@ -39,9 +39,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.distributed.engine import indexed_overlay
+from repro.distributed.engine import EventQueue, indexed_overlay
 from repro.distributed.faults import FaultPlan
-from repro.graph.heap import EventQueue
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
 _DATA = "data"

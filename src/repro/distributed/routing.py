@@ -269,8 +269,7 @@ class RoutingScheme:
     def query_engine(self) -> QueryEngine:
         """The scheme's batched distance engine over the indexed overlay.
 
-        Built lazily on first use and shared across batches: one
-        preallocated heap with generation-stamped reset, one search per
+        Built lazily on first use and shared across batches: one search per
         distinct source (see :class:`repro.core.query_engine.QueryEngine`).
         """
         if self._query_engine is None:

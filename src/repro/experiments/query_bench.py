@@ -10,9 +10,8 @@ distance queries on one shared workload instance:
   is the seed idiom every caller used before the engine existed, and the
   denominator of the gated ``query_speedup``.
 * ``batched-engine`` — :meth:`repro.core.query_engine.QueryEngine.run_queries_ids`:
-  queries grouped by source, one :class:`~repro.graph.heap.IndexedDaryHeap`
-  and one distance slab reused across the whole batch via generation-stamped
-  lazy reset — no per-query ``O(n)`` reinitialisation.
+  queries grouped by source, one lazy C-``heapq`` Dijkstra per distinct
+  source, early-stopped once the last of that source's targets settles.
 
 Every strategy must return the *exact same* distance list — the
 ``queries_match`` cross-check flag that ``scripts/check_bench_regression.py``

@@ -40,22 +40,19 @@ oracles and the cluster graphs (see ``docs/PERFORMANCE.md``):
   routing-table and synchronizer kernels of the distributed overlay engine
   (:mod:`repro.distributed`).
 
-Every ported ``indexed_*`` search accepts ``mode="list"`` (default — walk
-the list-of-lists adjacency), ``mode="csr"`` (walk the graph's finalized
-:class:`~repro.graph.csr.CSRAdjacency` snapshot with vectorized batched
-relaxations) or ``mode="heap"`` (the int-indexed d-ary heap core of
-:mod:`repro.graph.heap`: decrease-key via a position map where the seed
-discipline allows it, a lazy d-ary queue where stale heap tops are
-observable — see :func:`indexed_bidirectional_cutoff`).  All paths are
-bit-identical — same distances, same settled maps, same operation counts —
-because every search's priority order is *total* ((dist, vertex) with
-unique vertex ids), so any correct queue pops the identical sequence with
-IEEE-identical float64 sums; the hypothesis suites
-``tests/graph/test_csr_equivalence.py`` and
-``tests/graph/test_heap_properties.py`` prove it per function.  The raw
-CSR kernels (:func:`csr_bounded_search`, :func:`csr_bidirectional_cutoff`,
-:func:`csr_sssp`) are public for callers that hold a bare snapshot, e.g.
-the parallel builder's worker processes attached to shared memory.
+Every search runs on a lazy :mod:`heapq` queue of ``(dist, vertex)``
+entries.  Every ported ``indexed_*`` search accepts ``mode="list"``
+(default — walk the list-of-lists adjacency) or ``mode="csr"`` (walk the
+graph's finalized :class:`~repro.graph.csr.CSRAdjacency` snapshot with
+vectorized batched relaxations).  Both paths are bit-identical — same
+distances, same settled maps, same operation counts — because every
+search's priority order is *total* ((dist, vertex) with unique vertex
+ids), so both pop the identical sequence with IEEE-identical float64
+sums; the hypothesis suite ``tests/graph/test_csr_equivalence.py`` proves
+it per function.  The raw CSR kernels (:func:`csr_bounded_search`,
+:func:`csr_bidirectional_cutoff`, :func:`csr_sssp`) are public for callers
+that hold a bare snapshot, e.g. the parallel builder's worker processes
+attached to shared memory.
 
 All functions treat unreachable vertices as being at distance ``math.inf``.
 """
@@ -71,7 +68,6 @@ import numpy as np
 
 from repro.errors import VertexNotFoundError
 from repro.graph.csr import CSRAdjacency
-from repro.graph.heap import DaryHeap, IndexedDaryHeap
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
@@ -317,77 +313,6 @@ def clear_csr_scratch() -> None:
     _CSR_SCRATCH.clear()
 
 
-#: Arity of the ``mode="heap"`` search twins.  The pop order is provably
-#: independent of this value (the (dist, vertex) order is total), which the
-#: equivalence suite exercises by monkeypatching it; 4 measured best — see
-#: docs/PERFORMANCE.md.
-DEFAULT_HEAP_ARITY = 4
-
-_HEAP_SCRATCH: dict[tuple[int, int], IndexedDaryHeap] = {}
-
-
-def _heap_for(n: int) -> IndexedDaryHeap:
-    """The cached decrease-key heap for vertex count ``n`` (O(1) reset)."""
-    key = (n, DEFAULT_HEAP_ARITY)
-    scratch = _HEAP_SCRATCH.get(key)
-    if scratch is None:
-        scratch = _HEAP_SCRATCH[key] = IndexedDaryHeap(n, arity=DEFAULT_HEAP_ARITY)
-    return scratch
-
-
-def clear_heap_scratch() -> None:
-    """Drop all cached indexed d-ary heaps (test/memory hygiene)."""
-    _HEAP_SCRATCH.clear()
-
-
-def _heap_bounded(
-    graph: IndexedGraph,
-    source: int,
-    cutoff: float,
-    target: int = _UNUSED,
-    skip_u: int = _UNUSED,
-    skip_v: int = _UNUSED,
-) -> tuple[float, dict[int, float]]:
-    """The decrease-key twin of :func:`_list_bounded` on the d-ary heap core.
-
-    At most one entry per vertex lives in the queue; a relaxation that
-    improves an enqueued vertex decreases its key in place instead of
-    pushing a duplicate.  The settle order is nevertheless *identical* to
-    the lazy list loop: under the total (dist, vertex) order a vertex
-    settles exactly when its minimum pushed entry is the global minimum
-    among unsettled entries, and the decrease-key queue tracks exactly
-    those minima.  Stale entries are unobservable in this family — the
-    loop's only outputs are the settled map and the target distance — so
-    eliding them changes nothing (unlike the bidirectional search, whose
-    heap-top side selection *can* observe them).
-    """
-    settled: dict[int, float] = {}
-    neighbour_ids, neighbour_weights = graph.adjacency_arrays()
-    heap = _heap_for(graph.number_of_vertices)
-    heap.clear()
-    heap.insert(source, 0.0)
-    relax = heap.relax
-    pop_min = heap.pop_min
-    skip = skip_u >= 0
-    while len(heap):
-        dist, vertex = pop_min()
-        if dist > cutoff:
-            return math.inf, settled
-        settled[vertex] = dist
-        if vertex == target:
-            return dist, settled
-        for neighbour, weight in zip(neighbour_ids[vertex], neighbour_weights[vertex]):
-            if skip and (
-                (vertex == skip_u and neighbour == skip_v)
-                or (vertex == skip_v and neighbour == skip_u)
-            ):
-                continue
-            new_dist = dist + weight
-            if new_dist <= cutoff:
-                relax(neighbour, new_dist)
-    return math.inf, settled
-
-
 def csr_bounded_search(
     csr: CSRAdjacency,
     source: int,
@@ -472,8 +397,6 @@ def indexed_dijkstra_with_cutoff(
     ``mode="csr"`` runs the same search on the graph's finalized
     :class:`CSRAdjacency` snapshot — bit-identical result, vectorized
     relaxations; best when many searches run between mutations.
-    ``mode="heap"`` runs the decrease-key twin on the int-indexed d-ary
-    heap core — bit-identical too (see :func:`_heap_bounded`).
     """
     if source == target:
         return 0.0, {source: 0.0}
@@ -481,11 +404,7 @@ def indexed_dijkstra_with_cutoff(
         return _list_bounded(graph, source, cutoff, target)
     if mode == "csr":
         return csr_bounded_search(graph.finalize(), source, cutoff, target=target)
-    if mode == "heap":
-        return _heap_bounded(graph, source, cutoff, target)
-    raise ValueError(
-        f"unknown search mode {mode!r} (expected 'list', 'csr' or 'heap')"
-    )
+    raise ValueError(f"unknown search mode {mode!r} (expected 'list' or 'csr')")
 
 
 def csr_bidirectional_cutoff(
@@ -593,22 +512,12 @@ def indexed_bidirectional_cutoff(
     ``target``) for every settled vertex — their sizes are the search's
     operation count.  ``mode="csr"`` delegates to
     :func:`csr_bidirectional_cutoff` on the finalized snapshot
-    (bit-identical result); ``mode="heap"`` runs the identical loop on the
-    lazy :class:`~repro.graph.heap.DaryHeap`.  The heap twin deliberately
-    keeps the *lazy duplicate* discipline rather than decrease-key: the
-    side-selection test (``top_f <= top_b``) and the frontier-sum
-    termination test read the heap *tops*, where a stale entry is
-    observable — eliding duplicates could flip which side expands next, so
-    only an order-identical lazy queue is bit-identical here.
+    (bit-identical result).
     """
     if mode == "csr":
         return csr_bidirectional_cutoff(graph.finalize(), source, target, cutoff)
-    if mode == "heap":
-        return _heap_bidirectional_cutoff(graph, source, target, cutoff)
     if mode != "list":
-        raise ValueError(
-            f"unknown search mode {mode!r} (expected 'list', 'csr' or 'heap')"
-        )
+        raise ValueError(f"unknown search mode {mode!r} (expected 'list' or 'csr')")
     if source == target:
         return 0.0, {source: 0.0}, {target: 0.0}
     neighbour_ids, neighbour_weights = graph.adjacency_arrays()
@@ -661,68 +570,6 @@ def indexed_bidirectional_cutoff(
     return math.inf, settled_f, settled_b
 
 
-def _heap_bidirectional_cutoff(
-    graph: IndexedGraph,
-    source: int,
-    target: int,
-    cutoff: float,
-) -> tuple[float, dict[int, float], dict[int, float]]:
-    """The d-ary-heap twin of the bidirectional list loop (lazy duplicates).
-
-    Same (dist, vertex) total order, same push multiset, same lazy
-    discipline — only the queue's internal layout differs, so every pop,
-    side selection and termination test coincides with the list loop.
-    """
-    if source == target:
-        return 0.0, {source: 0.0}, {target: 0.0}
-    neighbour_ids, neighbour_weights = graph.adjacency_arrays()
-    inf = math.inf
-    best = inf
-    dist_f: dict[int, float] = {source: 0.0}
-    dist_b: dict[int, float] = {target: 0.0}
-    settled_f: dict[int, float] = {}
-    settled_b: dict[int, float] = {}
-    heap_f = DaryHeap(arity=DEFAULT_HEAP_ARITY)
-    heap_b = DaryHeap(arity=DEFAULT_HEAP_ARITY)
-    heap_f.push(0.0, source)
-    heap_b.push(0.0, target)
-    get_f = dist_f.get
-    get_b = dist_b.get
-
-    while len(heap_f) and len(heap_b):
-        top_f = heap_f.peek()[0]
-        top_b = heap_b.peek()[0]
-        frontier_sum = top_f + top_b
-        if frontier_sum >= best or frontier_sum > cutoff:
-            break
-        if top_f <= top_b:
-            heap, settled, dist_this = heap_f, settled_f, dist_f
-            get_this, get_other = get_f, get_b
-        else:
-            heap, settled, dist_this = heap_b, settled_b, dist_b
-            get_this, get_other = get_b, get_f
-        dist, vertex = heap.pop()
-        if vertex in settled:
-            continue
-        settled[vertex] = dist
-        push = heap.push
-        for neighbour, weight in zip(neighbour_ids[vertex], neighbour_weights[vertex]):
-            if neighbour in settled:
-                continue
-            new_dist = dist + weight
-            if new_dist > cutoff or new_dist >= get_this(neighbour, inf):
-                continue
-            dist_this[neighbour] = new_dist
-            push(new_dist, neighbour)
-            other = get_other(neighbour)
-            if other is not None and new_dist + other < best:
-                best = new_dist + other
-
-    if best <= cutoff:
-        return best, settled_f, settled_b
-    return math.inf, settled_f, settled_b
-
-
 def indexed_ball(
     graph: IndexedGraph, source: int, radius: float, *, mode: str = "list"
 ) -> dict[int, float]:
@@ -738,11 +585,7 @@ def indexed_ball(
         return _list_bounded(graph, source, radius)[1]
     if mode == "csr":
         return csr_bounded_search(graph.finalize(), source, radius)[1]
-    if mode == "heap":
-        return _heap_bounded(graph, source, radius)[1]
-    raise ValueError(
-        f"unknown search mode {mode!r} (expected 'list', 'csr' or 'heap')"
-    )
+    raise ValueError(f"unknown search mode {mode!r} (expected 'list' or 'csr')")
 
 
 def indexed_greedy_clustering(
@@ -843,14 +686,8 @@ def indexed_cutoff_excluding_edge(
         distance, settled = csr_bounded_search(
             graph.finalize(), source, cutoff, target=target, skip_u=skip_u, skip_v=skip_v
         )
-    elif mode == "heap":
-        distance, settled = _heap_bounded(
-            graph, source, cutoff, target, skip_u, skip_v
-        )
     else:
-        raise ValueError(
-            f"unknown search mode {mode!r} (expected 'list', 'csr' or 'heap')"
-        )
+        raise ValueError(f"unknown search mode {mode!r} (expected 'list' or 'csr')")
     return distance, len(settled)
 
 
@@ -914,18 +751,12 @@ def indexed_sssp(
 
     ``mode="csr"`` delegates to :func:`csr_sssp` on the finalized snapshot
     and converts back to lists — identical values, vectorized relaxations.
-    ``mode="heap"`` runs the decrease-key twin on the d-ary heap core; its
-    ``settles`` is reported bit-identically (see :func:`_heap_sssp`).
     """
     if mode == "csr":
         dist_array, parent_array, settles = csr_sssp(graph.finalize(), source)
         return dist_array.tolist(), parent_array.tolist(), settles
-    if mode == "heap":
-        return _heap_sssp(graph, source)
     if mode != "list":
-        raise ValueError(
-            f"unknown search mode {mode!r} (expected 'list', 'csr' or 'heap')"
-        )
+        raise ValueError(f"unknown search mode {mode!r} (expected 'list' or 'csr')")
     neighbour_ids, neighbour_weights = graph.adjacency_arrays()
     n = graph.number_of_vertices
     inf = math.inf
@@ -948,41 +779,6 @@ def indexed_sssp(
                 parent[neighbour] = vertex
                 push(heap, (new_dist, neighbour))
     return dist, parent, settles
-
-
-def _heap_sssp(graph: IndexedGraph, source: int) -> tuple[list[float], list[int], int]:
-    """The decrease-key twin of :func:`indexed_sssp`'s list loop.
-
-    The lazy loop's ``settles`` counts *every* pop, stale ones included;
-    since it drains the heap, that equals its push count, which is one
-    initial push plus one push per strict improvement.  Improvements are a
-    property of the relaxation sequence — identical across queue
-    disciplines because the settle order is (total (dist, vertex) order) —
-    so reporting ``improvements + 1`` here is bit-identical to the lazy
-    twins' counter, even though this queue never holds a stale entry.
-    """
-    neighbour_ids, neighbour_weights = graph.adjacency_arrays()
-    n = graph.number_of_vertices
-    inf = math.inf
-    dist: list[float] = [inf] * n
-    parent: list[int] = [-1] * n
-    dist[source] = 0.0
-    heap = _heap_for(n)
-    heap.clear()
-    heap.insert(source, 0.0)
-    pop_min = heap.pop_min
-    relax = heap.relax
-    improvements = 0
-    while len(heap):
-        d, vertex = pop_min()
-        for neighbour, weight in zip(neighbour_ids[vertex], neighbour_weights[vertex]):
-            new_dist = d + weight
-            if new_dist < dist[neighbour]:
-                dist[neighbour] = new_dist
-                parent[neighbour] = vertex
-                relax(neighbour, new_dist)
-                improvements += 1
-    return dist, parent, improvements + 1
 
 
 def indexed_eccentricity(graph: IndexedGraph, source: int) -> tuple[float, int]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from repro.core.spanner import Spanner
-from repro.errors import UnsupportedWorkloadError
+from repro.errors import InvalidStretchError, UnsupportedWorkloadError
 from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.base import FiniteMetric
 from repro.metric.closure import MetricClosure
@@ -158,8 +158,15 @@ def builder_names() -> list[str]:
 def build_spanner(
     name: str, workload: Workload, stretch: float, **params: object
 ) -> Spanner:
-    """Build a spanner with the named construction: the registry entry point."""
-    return get_builder(name).build(workload, stretch, **params)
+    """Build a spanner with the named construction: the registry entry point.
+
+    A NaN stretch is rejected here, once, for every builder: it fails every
+    ordered comparison, so the builders' own range checks would let it through.
+    """
+    builder = get_builder(name)
+    if math.isnan(stretch):
+        raise InvalidStretchError(f"stretch must be a number, got {stretch}")
+    return builder.build(workload, stretch, **params)
 
 
 # ---------------------------------------------------------------------------

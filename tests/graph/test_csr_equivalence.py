@@ -1,6 +1,6 @@
-"""Hypothesis property tests: ``mode="csr"``/``mode="heap"`` equal ``mode="list"``, bit for bit.
+"""Hypothesis property tests: ``mode="csr"`` equals ``mode="list"``, bit for bit.
 
-The CSR and d-ary-heap ports of the indexed searches
+The CSR ports of the indexed searches
 (:mod:`repro.graph.shortest_paths`) claim to be *bit-identical* to the
 list-adjacency loops: same distances,
 same settled maps — contents **and** insertion order — and therefore the
@@ -75,7 +75,7 @@ def search_cases(draw):
     return graph, source, target, cutoff
 
 
-@pytest.mark.parametrize("other_mode", ["csr", "heap"])
+@pytest.mark.parametrize("other_mode", ["csr"])
 @settings(max_examples=80, deadline=None)
 @given(case=search_cases())
 def test_bounded_single_pair_identical(other_mode, case):
@@ -91,7 +91,7 @@ def test_bounded_single_pair_identical(other_mode, case):
     assert list(list_settled.items()) == list(csr_settled.items())
 
 
-@pytest.mark.parametrize("other_mode", ["csr", "heap"])
+@pytest.mark.parametrize("other_mode", ["csr"])
 @settings(max_examples=80, deadline=None)
 @given(case=search_cases())
 def test_bidirectional_cutoff_identical(other_mode, case):
@@ -107,7 +107,7 @@ def test_bidirectional_cutoff_identical(other_mode, case):
         assert list_result[0] == csr_result[0]
 
 
-@pytest.mark.parametrize("other_mode", ["csr", "heap"])
+@pytest.mark.parametrize("other_mode", ["csr"])
 @settings(max_examples=60, deadline=None)
 @given(case=search_cases())
 def test_ball_identical(other_mode, case):
@@ -118,7 +118,7 @@ def test_ball_identical(other_mode, case):
     assert list(list_ball.items()) == list(csr_ball.items())
 
 
-@pytest.mark.parametrize("other_mode", ["csr", "heap"])
+@pytest.mark.parametrize("other_mode", ["csr"])
 @settings(max_examples=60, deadline=None)
 @given(case=search_cases(), edge_seed=st.integers(min_value=0, max_value=10**6))
 def test_excluded_edge_search_identical(other_mode, case, edge_seed):
@@ -139,7 +139,7 @@ def test_excluded_edge_search_identical(other_mode, case, edge_seed):
     )
 
 
-@pytest.mark.parametrize("other_mode", ["csr", "heap"])
+@pytest.mark.parametrize("other_mode", ["csr"])
 @settings(max_examples=60, deadline=None)
 @given(graph=connected_indexed_graphs(), source_seed=st.integers(min_value=0, max_value=10**6))
 def test_sssp_identical(other_mode, graph, source_seed):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import UnsupportedWorkloadError
+from repro.errors import InvalidStretchError, UnsupportedWorkloadError
 from repro.metric.closure import MetricClosure
 from repro.spanners.registry import (
     as_metric,
@@ -107,3 +107,10 @@ class TestBuildSpanner:
             spanner = build_spanner("mst", workload, 2.0)
             assert spanner.lightness() == pytest.approx(1.0)
             assert spanner.number_of_edges == len(spanner.subgraph) - 1
+
+
+@pytest.mark.parametrize("name", builder_names())
+def test_nan_stretch_is_rejected_by_every_builder(name, small_random_graph, small_points):
+    workload = small_points if get_builder(name).supports(small_points) else small_random_graph
+    with pytest.raises(InvalidStretchError):
+        build_spanner(name, workload, float("nan"))
