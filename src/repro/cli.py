@@ -711,6 +711,19 @@ def _command_profile(args: argparse.Namespace) -> int:
         profiler.enable()
         run_build_bench(workload, strategies=("csr-parallel-w1",), workers=1)
         profiler.disable()
+    elif args.workload == "verify":
+        from repro.core.parallel_greedy import parallel_greedy_spanner
+        from repro.experiments.build_bench import _build_instance, bucketed_workload
+        from repro.spanners.verification import verify_spanner_edges_detailed
+
+        workload = bucketed_workload(n=args.n, degree=args.degree, seed=args.seed)
+        graph, _ = _build_instance(workload)
+        stretch = float(workload["stretch"])
+        # The build is set-up, not the profiled path.
+        spanner = parallel_greedy_spanner(graph, stretch, workers=1)
+        profiler.enable()
+        verify_spanner_edges_detailed(spanner.subgraph, graph, stretch)
+        profiler.disable()
     else:
         from repro.experiments.query_bench import query_workload, run_query_bench
 
@@ -1372,13 +1385,13 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser = subparsers.add_parser(
         "profile",
         help=(
-            "cProfile a preset workload (build or queries) and print the "
+            "cProfile a preset workload (build, verify or queries) and print the "
             "top-N table; CI uploads it as an artifact next to the bench rows"
         ),
     )
     profile_parser.add_argument(
         "--workload",
-        choices=["build", "queries"],
+        choices=["build", "verify", "queries"],
         default="build",
         help="which hot path to profile",
     )

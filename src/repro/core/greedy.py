@@ -30,17 +30,52 @@ paper (Section 2.2).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional
 
 from repro.errors import InvalidStretchError
 from repro.core.distance_oracle import DistanceOracle, make_oracle
 from repro.core.spanner import Spanner
+from repro.graph.mst import DisjointSet
 from repro.graph.weighted_graph import Vertex, WeightedEdge, WeightedGraph
 from repro.metric.base import FiniteMetric
 from repro.metric.closure import MetricClosure
 from repro.metric.stream import sorted_pair_stream
 
 ProgressCallback = Callable[[int, int], None]
+
+
+def spanning_forest_in_order(
+    spanner_graph: WeightedGraph,
+    edges: Iterable[WeightedEdge],
+    *,
+    progress: Optional[ProgressCallback] = None,
+    total: int = 0,
+) -> tuple[int, int]:
+    """The greedy rule at ``t = ∞``: one union-find pass in canonical order.
+
+    ``δ_H(u, v) > ∞ · w`` can never hold, yet the greedy spanner at infinite
+    stretch is well defined as the limit: an edge is added exactly when its
+    endpoints are still disconnected in ``H`` — Kruskal's algorithm over the
+    canonical order, i.e. the spanning forest :func:`repro.graph.mst.kruskal_mst`
+    returns.  Edges already in ``spanner_graph`` (warm-start seeds) count as
+    connections.  Appends to ``spanner_graph`` in place and returns
+    ``(examined, added)``.
+    """
+    components = DisjointSet(spanner_graph.vertices())
+    for u, v, _ in spanner_graph.edges():
+        components.union(u, v)
+    union = components.union
+    examined = 0
+    added = 0
+    for u, v, weight in edges:
+        examined += 1
+        if union(u, v):
+            spanner_graph.add_edge(u, v, weight)
+            added += 1
+        if progress is not None:
+            progress(examined, total)
+    return examined, added
 
 
 def greedy_spanner(
@@ -110,31 +145,39 @@ def greedy_spanner(
         for u, v, weight in seed_edges:
             spanner_graph.add_edge(u, v, weight)
             seeded += 1
-    distance_oracle = make_oracle(oracle, spanner_graph)
-    if hasattr(distance_oracle, "monotone_cutoffs"):
-        # The loop below examines each pair once with non-decreasing cutoffs,
-        # so the caching oracle can certify hits by ball membership alone —
-        # identical verdicts and operation counts, sub-quadratic cache.
-        distance_oracle.monotone_cutoffs = True
-
     if edges is None:
         edges = graph.edges_sorted_by_weight()
     try:
         total = len(edges)  # type: ignore[arg-type]
     except TypeError:
         total = graph.number_of_edges
-    added = 0
-    examined = 0
 
-    for u, v, weight in edges:
-        examined += 1
-        cutoff = t * weight
-        if distance_oracle.distance_within(u, v, cutoff) > cutoff:
-            spanner_graph.add_edge(u, v, weight)
-            distance_oracle.notify_edge_added(u, v, weight)
-            added += 1
-        if progress is not None:
-            progress(examined, total)
+    distance_oracle = make_oracle(oracle, spanner_graph)
+    if t == math.inf:
+        # No cutoff search can decide "δ_H(u, v) > ∞": see
+        # spanning_forest_in_order.  The oracle is built (validating its
+        # name) but never queried.
+        examined, added = spanning_forest_in_order(
+            spanner_graph, edges, progress=progress, total=total
+        )
+    else:
+        if hasattr(distance_oracle, "monotone_cutoffs"):
+            # The loop below examines each pair once with non-decreasing
+            # cutoffs, so the caching oracle can certify hits by ball
+            # membership alone — identical verdicts and operation counts,
+            # sub-quadratic cache.
+            distance_oracle.monotone_cutoffs = True
+        added = 0
+        examined = 0
+        for u, v, weight in edges:
+            examined += 1
+            cutoff = t * weight
+            if distance_oracle.distance_within(u, v, cutoff) > cutoff:
+                spanner_graph.add_edge(u, v, weight)
+                distance_oracle.notify_edge_added(u, v, weight)
+                added += 1
+            if progress is not None:
+                progress(examined, total)
 
     metadata = {
         "distance_queries": float(distance_oracle.query_count),

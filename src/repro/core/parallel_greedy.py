@@ -16,8 +16,12 @@ frozen-filter / canonical-replay decomposition:
    to the lower id — fewer balls than always keying on the canonical
    source, at identical verdicts since ``δ`` is symmetric) and each group
    is decided by ONE bounded ball of radius ``t · max(w)`` (the PR-5
-   verification discipline), run by worker processes on a shared-memory
-   :class:`CSRAdjacency` snapshot.
+   verification discipline).  Inline builds run the balls directly on the
+   builder's live per-vertex ``(weight, neighbour)`` rows — replay appends
+   edges in canonical non-decreasing weight order, so every row stays
+   weight-sorted with no per-band rebuild.  Only when the worker pool fans
+   out is the frozen state snapshotted into a :class:`CSRAdjacency` and
+   published through shared memory.
    Rejection is **sound**: the serial greedy's ``H`` at examination time is a
    superset of ``H_frozen``, so ``δ_frozen(u, v) ≤ t·w`` implies
    ``δ_serial(u, v) ≤ t·w`` — the serial algorithm would have rejected too.
@@ -42,24 +46,36 @@ Worker payloads carry a ~16-byte :class:`SharedCSRDescriptor` per task; the
 frozen snapshot's three arrays cross the process boundary through one
 ``multiprocessing.shared_memory`` block per band, never through pickle.
 When fork or shared memory is unavailable (or ``workers <= 1``) the filter
-runs inline on the identical code path.
+runs inline on the live rows, with the identical kernel
+(:func:`repro.graph.shortest_paths.stamped_ball`) and therefore identical
+verdicts, counters and harvests.
+
+At ``t = ∞`` no cutoff search applies; the build is one union-find pass in
+canonical order (:func:`repro.core.greedy.spanning_forest_in_order`).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import signal
-from heapq import heappop, heappush
 from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.errors import InvalidStretchError
+from repro.core.greedy import spanning_forest_in_order
 from repro.core.spanner import Spanner
 from repro.graph.csr import CSRAdjacency, SharedCSRDescriptor, attach_csr, share_csr
 from repro.graph.indexed_graph import IndexedGraph
-from repro.graph.shortest_paths import csr_bounded_search, indexed_bidirectional_cutoff
+from repro.graph.shortest_paths import (
+    PairRows,
+    csr_bounded_search,
+    indexed_bidirectional_cutoff,
+    stamped_ball,
+    stamped_scratch,
+)
 from repro.graph.weighted_graph import WeightedEdge, WeightedGraph
 from repro.metric.base import FiniteMetric
 from repro.metric.closure import MetricClosure
@@ -72,7 +88,7 @@ from repro.metric.stream import edge_bands, sorted_pair_stream
 DEFAULT_BANDS = 8
 
 #: Average degree (``nnz / n``) above which the vectorized numpy ball kernel
-#: beats the scalar loop over bulk-converted CSR lists.  Per-settle numpy
+#: beats the scalar loop over weight-sorted pair rows.  Per-settle numpy
 #: overhead (~10 µs of small-array calls) only amortizes once the adjacency
 #: slices are long — dense metric closures, not sparse geometric graphs
 #: (measured in docs/PERFORMANCE.md).
@@ -92,7 +108,7 @@ ShardResult = tuple[list[int], int, list[int]]
 # conversion for the scalar kernel): bands reuse one attachment until the
 # parent publishes a new block under a new name.
 _ATTACHED: Optional[tuple[str, CSRAdjacency]] = None
-_ATTACHED_PAIRS: Optional[tuple[str, list[list[tuple[float, int]]]]] = None
+_ATTACHED_PAIRS: Optional[tuple[str, PairRows]] = None
 
 #: Chaos hook for the worker-death regression tests: when set to a band
 #: index, a forked filter worker handed that band SIGKILLs itself before
@@ -114,21 +130,20 @@ def _attached_csr(descriptor: SharedCSRDescriptor) -> CSRAdjacency:
     return csr
 
 
-def _csr_as_pairs(csr: CSRAdjacency) -> list[list[tuple[float, int]]]:
-    """Bulk-convert CSR arrays to per-vertex ``(weight, neighbour)`` pair rows.
+def _csr_as_pairs(csr: CSRAdjacency) -> PairRows:
+    """Bulk-convert a CSR snapshot to weight-sorted ``(weight, neighbour)`` rows.
 
-    Each adjacency row is re-sorted by ``(weight, neighbour id)`` (one
-    vectorized lexsort per snapshot) so the ball kernels can *break* out of
-    a vertex's relaxation loop at the first neighbour whose edge already
-    overshoots the radius — every later neighbour overshoots too.  On
-    degree-96 workloads only a few percent of scanned edges pass the radius
-    test, so the break removes the bulk of the inner-loop work.  The pairs
-    are pre-zipped into tuples so the kernel's relaxation loop is a single
-    list subscript plus tuple unpacking — no per-settle slice allocation,
-    no per-edge ``zip`` churn (measured ~30% off the ball kernel;
-    docs/PERFORMANCE.md).  Row order is unobservable in the results: ball
-    distances are adjacency-order independent, and the heap pops by the
-    total ``(dist, vertex)`` key, so the settle order is unchanged.
+    The pool workers' view of the frozen spanner: a worker attached to a
+    shared-memory snapshot converts it once per band (one vectorized lexsort
+    by ``(weight, neighbour id)``) into the same row shape the inline
+    builder keeps live, so both run :func:`stamped_ball`.  The rows are
+    weight-sorted so the kernel can *break* out of a vertex's relaxation
+    loop at the first neighbour whose edge already overshoots the radius,
+    and pre-zipped so the relaxation loop is one list subscript plus tuple
+    unpacking.  Order among equal weights differs from the live rows
+    (insertion order there) but is unobservable: ball distances are
+    adjacency-order independent, and the heap pops by the total
+    ``(dist, vertex)`` key, so the settle order is unchanged.
     """
     indptr = csr.indptr
     rows = np.repeat(
@@ -140,126 +155,60 @@ def _csr_as_pairs(csr: CSRAdjacency) -> list[list[tuple[float, int]]]:
     return [flat[bounds[v]:bounds[v + 1]] for v in range(len(bounds) - 1)]
 
 
-# Per-process scratch of the scalar filter kernel, keyed by vertex count:
-# a flat tentative-distance array plus a generation stamp so starting a ball
-# is one counter increment, not an O(n) clear (the same trick as the CSR
-# search scratch).
-_SCALAR_SCRATCH: dict[int, tuple[list[float], list[int], list[int]]] = {}
-
-
-def _scalar_scratch(n: int) -> tuple[list[float], list[int], list[int]]:
-    scratch = _SCALAR_SCRATCH.get(n)
-    if scratch is None:
-        scratch = _SCALAR_SCRATCH[n] = ([0.0] * n, [0] * n, [0])
-    return scratch
-
-
-def _scalar_ball(
-    pairs: list[list[tuple[float, int]]],
-    source: int,
-    radius: float,
-    dist: list[float],
-    stamp: list[int],
-    gen: int,
-) -> list[int]:
-    """Bounded Dijkstra ball over pre-zipped pair rows — the scalar filter kernel.
-
-    Same settled set (contents, settle order and therefore settle count,
-    with IEEE-identical distance sums) as ``_list_bounded`` /
-    ``csr_bounded_search`` in :mod:`repro.graph.shortest_paths`.  Unlike
-    the seed loop it prunes non-improving pushes through a
-    generation-stamped tentative-distance array: a pruned entry is never
-    the minimum entry of its vertex, so the pop order of *first* pops — the
-    only observable order — is untouched while the heap stays a fraction of
-    the size (the dominant cost of dense bands; docs/PERFORMANCE.md).  A
-    settled vertex needs no membership test on relaxation: its tentative
-    distance is final, so the strict ``<`` prune rejects re-relaxation.
-
-    Returns the settled vertex ids in settle order; the distances live in
-    ``dist`` under stamp ``gen``.  No settled dict is built at all: under
-    the strict ``<`` prune every stamped vertex is eventually settled (its
-    minimum heap entry is within the radius and the ball runs the heap
-    dry), so ``stamp[v] == gen`` *is* the membership test and ``dist[v]``
-    the final distance.  Staleness of a popped entry is likewise one list
-    subscript (``d > dist[vertex]``) instead of a dict probe, and
-    neighbours stream through pre-zipped ``(weight, neighbour)`` rows
-    rather than per-settle slicing (:func:`_csr_as_pairs`).
-
-    The ball deliberately runs to its full radius even after every group
-    target is settled: the surplus is harvested into the coverage cache,
-    where it rejects later bands' edges for free (early exit was a measured
-    net loss — docs/PERFORMANCE.md).
-    """
-    settled_ids: list[int] = []
-    append = settled_ids.append
-    pop = heappop
-    push = heappush
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    dist[source] = 0.0
-    stamp[source] = gen
-    while heap:
-        d, vertex = pop(heap)
-        if d > dist[vertex]:
-            continue
-        append(vertex)
-        for weight, neighbour in pairs[vertex]:
-            new_dist = d + weight
-            if new_dist > radius:
-                break  # rows are weight-sorted: every later neighbour overshoots
-            if stamp[neighbour] != gen or new_dist < dist[neighbour]:
-                dist[neighbour] = new_dist
-                stamp[neighbour] = gen
-                push(heap, (new_dist, neighbour))
-    return settled_ids
-
-
 def _filter_groups(
-    frozen: CSRAdjacency,
-    pairs: Optional[list[list[tuple[float, int]]]],
+    frozen: Optional[CSRAdjacency],
+    pairs: Optional[PairRows],
     groups: list[FilterGroup],
     t: float,
 ) -> ShardResult:
-    """Decide one shard of per-source groups against the frozen snapshot.
+    """Decide one shard of per-source groups against the frozen spanner.
+
+    ``pairs`` non-None selects the scalar kernel (:func:`stamped_ball` over
+    weight-sorted rows — the inline builder's live rows or a worker's
+    :func:`_csr_as_pairs` conversion); otherwise the vectorized
+    :func:`csr_bounded_search` runs on the ``frozen`` snapshot.  Each ball
+    runs to its full radius even after every group target is settled: the
+    surplus is harvested into the coverage cache, where it rejects later
+    bands' edges for free (early exit was a measured net loss —
+    docs/PERFORMANCE.md).
 
     Returns ``(candidate_indices, settles, covered)``: the canonical indices
     of the edges the frozen spanner could NOT reject, the ball settle count,
     and every settled ``(source, x)`` pair packed into the coverage cache's
-    ``(min << 32) | max`` key encoding — the packing is vectorized here (one
-    numpy min/max/shift per ball) so the parent's merge is a single
-    ``set.update``.  Pure function of the arguments — and the kernel choice
-    is part of the arguments (``pairs`` non-None selects the scalar kernel),
-    so verdicts, counts and harvests never depend on the worker count: the
+    ``(min << 32) | max`` key encoding (one list comprehension per ball), so
+    the parent's merge is a single ``set.update``.  Pure function of the
+    arguments — and the kernel choice is part of the arguments — so
+    verdicts, counts and harvests never depend on the worker count: the
     determinism anchor.
     """
     candidates: list[int] = []
     settles = 0
     covered: list[int] = []
     if pairs is not None:
-        dist, stamp, genbox = _scalar_scratch(len(pairs))
+        dist, stamp, genbox = stamped_scratch(len(pairs))
     for source_id, items in groups:
+        radius = t * items[-1][2]  # canonical order: last item has max weight
         if pairs is not None:
-            radius = t * items[-1][2]  # canonical order: last item has max weight
             genbox[0] += 1
             gen = genbox[0]
-            settled_ids = _scalar_ball(pairs, source_id, radius, dist, stamp, gen)
-            settles += len(settled_ids)
-            ids = np.fromiter(settled_ids, dtype=np.int64, count=len(settled_ids))
-            packed = (np.minimum(ids, source_id) << 32) | np.maximum(ids, source_id)
-            covered.extend(packed.tolist())
+            settled_ids = stamped_ball(pairs, source_id, radius, dist, stamp, gen)
             for canonical_index, target_id, weight in items:
                 if stamp[target_id] != gen or dist[target_id] > t * weight:
                     candidates.append(canonical_index)
         else:
-            radius = t * items[-1][2]  # canonical order: last item has max weight
             settled = csr_bounded_search(frozen, source_id, radius)[1]
-            settles += len(settled)
-            ids = np.fromiter(settled, dtype=np.int64, count=len(settled))
-            packed = (np.minimum(ids, source_id) << 32) | np.maximum(ids, source_id)
-            covered.extend(packed.tolist())
+            settled_ids = settled  # keys iterate in settle order
             for canonical_index, target_id, weight in items:
                 distance = settled.get(target_id)
                 if distance is None or distance > t * weight:
                     candidates.append(canonical_index)
+        settles += len(settled_ids)
+        covered.extend(
+            [
+                (x << 32) | source_id if x < source_id else (source_id << 32) | x
+                for x in settled_ids
+            ]
+        )
     return candidates, settles, covered
 
 
@@ -428,6 +377,11 @@ def parallel_greedy_spanner(
 
     examined = 0
     added = 0
+    if t == math.inf:
+        # No cutoff search can decide "δ_H(u, v) > ∞" (see
+        # spanning_forest_in_order): one forest pass replaces every band.
+        examined, added = spanning_forest_in_order(spanner_graph, edges)
+        edges = ()
     band_count = 0
     filter_settles = 0
     replay_settles = 0
@@ -447,6 +401,11 @@ def parallel_greedy_spanner(
     # Every vertex is interned at mirror construction, so the per-edge id
     # translation is a plain dict subscript — no intern() call per endpoint.
     id_of = mirror.id_map()
+    # The inline filter's view of the spanner: per-vertex (weight, neighbour)
+    # rows, appended next to the mirror as replay adds edges.  Replay adds
+    # them in canonical non-decreasing weight order, so every row stays
+    # weight-sorted — the order stamped_ball's overshoot break relies on.
+    rows: PairRows = [[] for _ in range(mirror.number_of_vertices)]
     try:
         for band in edge_bands(edges, band_edges):
             band_count += 1
@@ -485,14 +444,16 @@ def parallel_greedy_spanner(
                 )
                 info[canonical_index] = (u, v, uid, vid, weight)
             examined += len(band)
-            frozen = mirror.finalize()
-            scalar_kernel = frozen.nnz <= SCALAR_KERNEL_MAX_DEGREE * max(1, frozen.n)
+            scalar_kernel = 2 * mirror.number_of_edges <= SCALAR_KERNEL_MAX_DEGREE * max(
+                1, mirror.number_of_vertices
+            )
             if scalar_kernel:
                 scalar_bands += 1
             group_items: list[FilterGroup] = list(groups.items())
             results: Optional[list[ShardResult]] = None
             if pool is not None and len(group_items) > 1:
                 shards = deterministic_shards(group_items, worker_count)
+                frozen = mirror.finalize()
                 shm = None
                 try:
                     try:
@@ -524,8 +485,13 @@ def parallel_greedy_spanner(
                         shm.close()
                         shm.unlink()
             if results is None and group_items:
-                pairs = _csr_as_pairs(frozen) if scalar_kernel else None
-                results = [_filter_groups(frozen, pairs, group_items, t)]
+                # Inline (workers=1, pool fallback or worker-death re-filter):
+                # no replay has run since the band began, so the live rows
+                # are exactly the frozen spanner.
+                if scalar_kernel:
+                    results = [_filter_groups(None, rows, group_items, t)]
+                else:
+                    results = [_filter_groups(mirror.finalize(), None, group_items, t)]
             results = results or []
             candidates = sorted(chain.from_iterable(part for part, _, _ in results))
             filter_settles += sum(settles for _, settles, _ in results)
@@ -550,6 +516,8 @@ def parallel_greedy_spanner(
                 if distance > cutoff:
                     spanner_graph.add_edge(u, v, weight)
                     mirror.append_edge_unchecked_ids(uid, vid, weight)
+                    rows[uid].append((weight, vid))
+                    rows[vid].append((weight, uid))
                     added += 1
                     covered_add((uid << 32) | vid if uid < vid else (vid << 32) | uid)
     finally:

@@ -116,7 +116,8 @@ class QueryEngine:
         """Answer the paired queries ``(sources[i], targets[i])`` by dense id.
 
         Queries are grouped by source; each distinct source costs one lazy
-        Dijkstra early-stopped at its last-settling target.
+        Dijkstra early-stopped at its last-settling target, with its
+        tentative distances in a flat id-indexed list.
         """
         if len(sources) != len(targets):
             raise ValueError(
@@ -150,14 +151,14 @@ class QueryEngine:
         inf = math.inf
         settled = 0
         for source, target_slots in pending.items():
-            dist = {source: 0.0}
-            get = dist.get
+            dist = [inf] * n
+            dist[source] = 0.0
             heap: list[tuple[float, int]] = [(0.0, source)]
             remaining = len(target_slots)
             get_slots = target_slots.get
             while heap:
                 d, vertex = heappop(heap)
-                if d > get(vertex, inf):
+                if d > dist[vertex]:
                     continue  # stale entry superseded by a strict improvement
                 settled += 1
                 slots = get_slots(vertex)
@@ -171,7 +172,7 @@ class QueryEngine:
                     neighbour_ids[vertex], neighbour_weights[vertex]
                 ):
                     new_dist = d + weight
-                    if new_dist < get(neighbour, inf):
+                    if new_dist < dist[neighbour]:
                         dist[neighbour] = new_dist
                         heappush(heap, (new_dist, neighbour))
         self.settled_count += settled

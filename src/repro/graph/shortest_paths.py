@@ -25,9 +25,12 @@ oracles and the cluster graphs (see ``docs/PERFORMANCE.md``):
   (cluster-graph queries),
 * :func:`indexed_bidirectional_cutoff` — meet-in-the-middle bounded search:
   two half-radius balls instead of one full-radius ball,
-* :func:`indexed_ball` — all vertices within a radius (cluster construction,
-  the caching oracle's batch-harvest of certified upper bounds, and the batch
-  verification engine's per-source grouped edge checks),
+* :func:`indexed_ball` — all vertices within a radius (cluster construction
+  and the caching oracle's batch-harvest of certified upper bounds),
+* :func:`stamped_ball` — the same ball over weight-sorted ``(weight,
+  neighbour)`` pair rows with generation-stamped flat scratch
+  (:func:`stamped_scratch`): the one kernel behind the band-parallel
+  builder's filter and the batch verification engine's grouped edge checks,
 * :func:`indexed_cutoff_excluding_edge` — bounded single-pair search on
   ``G - e`` without materializing the edge removal (the Lemma 3 verifier),
 * :func:`indexed_greedy_clustering` — greedy ``r``-net centre selection plus
@@ -263,6 +266,87 @@ def _list_bounded(
             if new_dist <= cutoff:
                 push(heap, (new_dist, neighbour))
     return math.inf, settled
+
+
+# ----------------------------------------------------------------------
+# The stamped bounded-ball kernel over weight-sorted pair rows
+# ----------------------------------------------------------------------
+#: Per-vertex ``(weight, neighbour_id)`` adjacency rows in non-decreasing
+#: weight order — the input of :func:`stamped_ball`.
+PairRows = list[list[tuple[float, int]]]
+
+# Per-process scratch of :func:`stamped_ball`, keyed by vertex count: a flat
+# tentative-distance array, a stamp array and a one-slot generation counter,
+# so starting a ball is one counter increment, not an O(n) clear.
+_STAMPED_SCRATCH: dict[int, tuple[list[float], list[int], list[int]]] = {}
+
+
+def stamped_scratch(n: int) -> tuple[list[float], list[int], list[int]]:
+    """Return the shared ``(dist, stamp, generation_box)`` scratch for ``n`` ids.
+
+    Callers bump ``generation_box[0]`` once per ball and pass the new value
+    to :func:`stamped_ball`; ``stamp[v] == gen`` then marks the entries of
+    that ball.  Every caller in a process shares one counter per ``n``, so
+    interleaved users never see each other's stale entries.
+    """
+    scratch = _STAMPED_SCRATCH.get(n)
+    if scratch is None:
+        scratch = _STAMPED_SCRATCH[n] = ([0.0] * n, [0] * n, [0])
+    return scratch
+
+
+def stamped_ball(
+    rows: PairRows,
+    source: int,
+    radius: float,
+    dist: list[float],
+    stamp: list[int],
+    gen: int,
+) -> list[int]:
+    """Bounded Dijkstra ball over weight-sorted pair rows.
+
+    Same settled set (contents, settle order and therefore settle count,
+    with IEEE-identical distance sums) as :func:`indexed_ball` and
+    :func:`csr_bounded_search`.  Unlike the seed loop it prunes
+    non-improving pushes through a generation-stamped tentative-distance
+    array: a pruned entry is never the minimum entry of its vertex, so the
+    pop order of *first* pops — the only observable order — is untouched
+    while the heap stays a fraction of the size.  A settled vertex needs no
+    membership test on relaxation: its tentative distance is final, so the
+    strict ``<`` prune rejects re-relaxation.
+
+    Returns the settled vertex ids in settle order; the distances live in
+    ``dist`` under stamp ``gen``.  Under the strict ``<`` prune every
+    stamped vertex is eventually settled (its minimum heap entry is within
+    the radius and the ball runs the heap dry), so ``stamp[v] == gen`` *is*
+    the membership test and ``dist[v]`` the final distance.
+
+    ``rows`` must be sorted by weight so the relaxation loop can *break* at
+    the first neighbour whose edge overshoots the radius — every later
+    neighbour overshoots too.  Order among equal weights is unobservable:
+    the heap pops by the total ``(dist, vertex)`` key.
+    """
+    settled_ids: list[int] = []
+    append = settled_ids.append
+    pop = heapq.heappop
+    push = heapq.heappush
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    dist[source] = 0.0
+    stamp[source] = gen
+    while heap:
+        d, vertex = pop(heap)
+        if d > dist[vertex]:
+            continue
+        append(vertex)
+        for weight, neighbour in rows[vertex]:
+            new_dist = d + weight
+            if new_dist > radius:
+                break  # rows are weight-sorted: every later neighbour overshoots
+            if stamp[neighbour] != gen or new_dist < dist[neighbour]:
+                dist[neighbour] = new_dist
+                stamp[neighbour] = gen
+                push(heap, (new_dist, neighbour))
+    return settled_ids
 
 
 class _CSRScratch:

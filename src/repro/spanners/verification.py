@@ -52,10 +52,12 @@ import numpy as np
 from repro.core.spanner import Spanner
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import (
+    PairRows,
     dijkstra,
-    indexed_ball,
     indexed_sssp,
     pair_distance,
+    stamped_ball,
+    stamped_scratch,
 )
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
@@ -88,8 +90,9 @@ class VerificationEngine:
         "vertices",
         "id_of",
         "metric",
-        "base_indexed",
         "sub_indexed",
+        "_base_indexed",
+        "_sub_rows",
     )
 
     def __init__(self, base: WeightedGraph, subgraph: WeightedGraph) -> None:
@@ -97,19 +100,44 @@ class VerificationEngine:
         self.subgraph = subgraph
         self.vertices: list[Vertex] = list(base.vertices())
         self.metric = getattr(base, "metric", None)
-        # Lazy closures are never materialized: their base rows come from the
-        # metric, so only graph bases get an indexed base translation.
-        self.base_indexed: Optional[IndexedGraph] = (
-            IndexedGraph.from_weighted_graph(base) if self.metric is None else None
-        )
         self.sub_indexed = IndexedGraph(vertices=self.vertices)
         self.id_of = {vertex: vid for vid, vertex in enumerate(self.vertices)}
         for u, v, weight in subgraph.edges():
             self.sub_indexed.append_edge_unchecked_ids(self.id_of[u], self.id_of[v], weight)
+        self._base_indexed: Optional[IndexedGraph] = None
+        self._sub_rows: Optional[PairRows] = None
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @property
+    def base_indexed(self) -> Optional[IndexedGraph]:
+        """The base's indexed translation, built on first use (graph bases only).
+
+        Only full base rows (:meth:`base_row`, the stretch profiles and
+        sampled checks) search the base; edge verification groups the base
+        edges straight from ``base.edges()``.  Lazy closures are never
+        materialized: their base rows come from the metric, so this is
+        ``None`` for them.
+        """
+        if self._base_indexed is None and self.metric is None:
+            self._base_indexed = IndexedGraph.from_weighted_graph(self.base)
+        return self._base_indexed
+
+    @property
+    def sub_rows(self) -> PairRows:
+        """The subgraph's weight-sorted ``(weight, neighbour)`` rows, built once.
+
+        The input of :func:`~repro.graph.shortest_paths.stamped_ball`, the
+        kernel behind every grouped edge check.
+        """
+        if self._sub_rows is None:
+            self._sub_rows = [
+                sorted(zip(weights, ids))
+                for ids, weights in zip(*self.sub_indexed.adjacency_arrays())
+            ]
+        return self._sub_rows
 
     # -- distance rows --------------------------------------------------
     def base_row(self, source_id: int) -> tuple[np.ndarray, int]:
@@ -149,7 +177,12 @@ class VerificationEngine:
         full rows instead, see :func:`_verify_edges_indexed`.
         """
         grouped: dict[int, tuple[list[int], list[float]]] = {}
-        for uid, vid, weight in self.base_indexed.edges():
+        id_of = self.id_of
+        for u, v, weight in self.base.edges():
+            uid = id_of[u]
+            vid = id_of[v]
+            if vid < uid:
+                uid, vid = vid, uid
             slot = grouped.get(uid)
             if slot is None:
                 slot = ([], [])
@@ -303,14 +336,22 @@ def _verify_one_source(
     t: float,
     tolerance: float,
 ) -> tuple[bool, int]:
-    """Check one source's grouped base edges with a single bounded ball."""
+    """Check one source's grouped base edges with a single bounded ball.
+
+    A target is stretched too far when the ball never stamped it (farther
+    than the cutoff, or unreachable) or stamped it at a distance above its
+    own edge's bound.
+    """
     cutoff = max(t * weight * (1.0 + tolerance) for weight in weights)
-    settled = indexed_ball(engine.sub_indexed, source_id, cutoff)
-    inf = math.inf
+    rows = engine.sub_rows
+    dist, stamp, genbox = stamped_scratch(len(rows))
+    genbox[0] += 1
+    gen = genbox[0]
+    settles = len(stamped_ball(rows, source_id, cutoff, dist, stamp, gen))
     for target, weight in zip(targets, weights):
-        if settled.get(target, inf) > t * weight * (1.0 + tolerance):
-            return False, len(settled)
-    return True, len(settled)
+        if stamp[target] != gen or dist[target] > t * weight * (1.0 + tolerance):
+            return False, settles
+    return True, settles
 
 
 def _run_engine_shards(task, shards, workers):
@@ -407,6 +448,7 @@ def _verify_edges_indexed(
     if not items:
         return EdgeVerification(ok=True, edges_checked=0, sources=0, settles=0)
     shards = _shard_sources(items, workers)
+    engine.sub_rows  # built once here, before any fork, not per shard
     if len(shards) <= 1 or workers is None or workers == 1:
         ok = True
         settles = 0

@@ -183,3 +183,59 @@ class TestMetricGreedy:
         for u in spanner.base.vertices():
             for v in spanner.base.vertices():
                 assert math.isfinite(pair_distance(spanner.subgraph, u, v))
+
+
+class TestInfiniteStretch:
+    """At ``t = ∞`` the greedy rule keeps an edge iff its endpoints are still
+    disconnected in ``H``: the result is the canonical-order Kruskal forest,
+    never an empty "spanner" of a connected graph."""
+
+    @staticmethod
+    def _edge_set(graph):
+        return {(frozenset((u, v)), weight) for u, v, weight in graph.edges()}
+
+    @staticmethod
+    def _disconnected_graph():
+        left = random_connected_graph(25, 0.3, seed=3)
+        graph = WeightedGraph(vertices=list(left.vertices()) + [100 + i for i in range(15)])
+        for u, v, weight in left.edges():
+            graph.add_edge(u, v, weight)
+        right = random_connected_graph(15, 0.4, seed=4)
+        for u, v, weight in right.edges():
+            graph.add_edge(100 + u, 100 + v, weight)
+        return graph  # two components of 25 and 15 vertices
+
+    @pytest.mark.parametrize("builder", ["greedy", "greedy-parallel"])
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_graph_builders_return_the_kruskal_forest(self, builder, connected):
+        from repro.graph.generators import random_geometric_graph
+        from repro.graph.traversal import connected_components
+        from repro.spanners.registry import build_spanner
+
+        if connected:
+            graph = random_geometric_graph(200, 0.2, seed=1)
+        else:
+            graph = self._disconnected_graph()
+        components = len(connected_components(graph))
+        assert connected == (components == 1)
+        spanner = build_spanner(builder, graph, math.inf)
+        assert spanner.number_of_edges == graph.number_of_vertices - components
+        assert self._edge_set(spanner.subgraph) == self._edge_set(kruskal_mst(graph))
+        assert spanner.metadata["edges_examined"] == graph.number_of_edges
+        assert spanner.metadata["edges_added"] == spanner.number_of_edges
+        assert spanner.is_valid()
+
+    @pytest.mark.parametrize("builder", ["greedy", "greedy-parallel"])
+    def test_metric_builders_return_a_spanning_tree(self, builder, small_points):
+        from repro.spanners.registry import build_spanner
+
+        spanner = build_spanner(builder, small_points, math.inf)
+        assert spanner.number_of_edges == small_points.size - 1
+        assert self._edge_set(spanner.subgraph) == self._edge_set(kruskal_mst(spanner.base))
+
+    def test_seed_edges_count_as_connections(self):
+        graph = cycle_graph(6)
+        seeds = list(graph.edges())[:2]
+        spanner = greedy_spanner(graph, math.inf, seed_edges=seeds)
+        assert spanner.number_of_edges == graph.number_of_vertices - 1
+        assert spanner.metadata["edges_added"] == graph.number_of_vertices - 1 - len(seeds)

@@ -97,6 +97,23 @@ class TestGraphPath:
         parallel = parallel_greedy_spanner(geometric_instance, 2.0, workers=1)
         parallel.verify_stretch()
 
+    def test_inline_build_never_snapshots(
+        self, geometric_instance, serial_spanner, monkeypatch
+    ):
+        """A sparse workers=1 build filters on the live weight-sorted rows:
+        no per-band CSR snapshot, no CSR-to-pairs conversion."""
+        from repro.core import parallel_greedy as pg
+        from repro.graph.indexed_graph import IndexedGraph
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-band rebuild on the inline path")
+
+        monkeypatch.setattr(IndexedGraph, "finalize", forbidden)
+        monkeypatch.setattr(pg, "_csr_as_pairs", forbidden)
+        parallel = parallel_greedy_spanner(geometric_instance, 2.0, workers=1)
+        assert canonical_edges(parallel) == canonical_edges(serial_spanner)
+        assert parallel.metadata["build_scalar_bands"] == parallel.metadata["build_bands"]
+
 
 class TestMetricPath:
     @pytest.fixture(scope="module")

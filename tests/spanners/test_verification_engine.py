@@ -273,3 +273,69 @@ def test_disconnected_subgraph_fails_verification(small_random_graph):
     empty = small_random_graph.empty_spanning_subgraph()
     for mode in ("indexed", "reference"):
         assert not verify_spanner_edges(empty, small_random_graph, 100.0, mode=mode)
+
+
+class TestStampedEdgeCheck:
+    """Both rejection branches of the grouped edge check's stamped ball.
+
+    A base edge fails either because the ball never stamped its target
+    (farther than the group cutoff, or unreachable) or because it stamped
+    the target at a distance above ``t·w·(1 + tolerance)`` — possible when
+    a heavier edge of the same group widened the cutoff.  Verdicts must
+    agree with the reference mode; the operation counts are the engine's
+    own (one full ball per grouped source) and are pinned to values derived
+    by hand, and re-derived with the dict ball :func:`indexed_ball`.
+    """
+
+    @staticmethod
+    def _graph(vertices, edges):
+        graph = WeightedGraph(vertices=vertices)
+        for u, v, weight in edges:
+            graph.add_edge(u, v, weight)
+        return graph
+
+    @staticmethod
+    def _dict_ball_settles(subgraph, base, t, tolerance=1e-9):
+        from repro.graph.shortest_paths import indexed_ball
+
+        engine = VerificationEngine(base, subgraph)
+        settles = 0
+        for source_id, (_, weights) in engine.grouped_base_edges().items():
+            cutoff = max(t * weight * (1.0 + tolerance) for weight in weights)
+            settles += len(indexed_ball(engine.sub_indexed, source_id, cutoff))
+        return settles
+
+    def _check(self, subgraph, base, t, *, settles, sources, edges_checked):
+        indexed = verify_spanner_edges_detailed(subgraph, base, t)
+        reference = verify_spanner_edges_detailed(subgraph, base, t, mode="reference")
+        assert indexed.ok is reference.ok is False
+        assert indexed.settles == settles == self._dict_ball_settles(subgraph, base, t)
+        assert indexed.sources == sources
+        assert indexed.edges_checked == edges_checked
+
+    def test_unstamped_target_is_rejected(self):
+        # c is isolated in the subgraph: the ball from a (cutoff 3) settles
+        # {a, b} and never stamps c; the ball from b settles {b, a}.
+        base = self._graph("abc", [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.5)])
+        subgraph = self._graph("abc", [("a", "b", 1.0)])
+        self._check(subgraph, base, 2.0, settles=4, sources=2, edges_checked=3)
+
+    def test_stamped_target_beyond_its_bound_is_rejected(self):
+        # The heavy a-e edge widens a's cutoff to 4.5, so c is stamped at
+        # distance 2 — above its own bound 1.5·1.  Balls: a settles
+        # {a, b, c, e}, b settles {b, a, c}.
+        base = self._graph(
+            "abce",
+            [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.0), ("a", "e", 3.0)],
+        )
+        subgraph = self._graph("abce", [("a", "b", 1.0), ("b", "c", 1.0), ("a", "e", 3.0)])
+        self._check(subgraph, base, 1.5, settles=7, sources=2, edges_checked=4)
+
+    def test_stretch_profile_builds_the_base_index_lazily(self, small_random_graph):
+        spanner = greedy_spanner(small_random_graph, 2.0)
+        engine = VerificationEngine(small_random_graph, spanner.subgraph)
+        assert verify_spanner_edges(spanner.subgraph, small_random_graph, 2.0, engine=engine)
+        assert engine._base_indexed is None  # edge checks never index the base
+        profile = stretch_profile(spanner, exact=True, engine=engine)
+        assert engine.base_indexed is not None
+        assert profile == stretch_profile(spanner, exact=True, mode="reference")

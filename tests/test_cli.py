@@ -199,6 +199,17 @@ class TestCommands:
         ) == 2
         assert "unknown overlay workloads" in capsys.readouterr().out
 
+    def test_profile_verify_profiles_only_the_check(self, capsys, tmp_path):
+        out = tmp_path / "profile_verify.txt"
+        assert main(
+            ["profile", "--workload", "verify", "--n", "300", "--degree", "8",
+             "--top", "10", "--output", str(out)]
+        ) == 0
+        report = out.read_text()
+        assert "verify_spanner_edges_detailed" in report
+        # The spanner is built before the profiler starts.
+        assert "parallel_greedy_spanner" not in report
+
     def test_bench_verify_writes_trajectory(self, capsys, tmp_path):
         import json
 
