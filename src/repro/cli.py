@@ -724,6 +724,14 @@ def _command_profile(args: argparse.Namespace) -> int:
         profiler.enable()
         verify_spanner_edges_detailed(spanner.subgraph, graph, stretch)
         profiler.disable()
+    elif args.workload == "approx":
+        from repro.core.approximate_greedy import approximate_greedy_spanner
+        from repro.metric.generators import uniform_points
+
+        metric = uniform_points(args.n, seed=args.seed)
+        profiler.enable()
+        approximate_greedy_spanner(metric, 0.5, base="theta")
+        profiler.disable()
     else:
         from repro.experiments.query_bench import query_workload, run_query_bench
 
@@ -1385,13 +1393,14 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser = subparsers.add_parser(
         "profile",
         help=(
-            "cProfile a preset workload (build, verify or queries) and print the "
-            "top-N table; CI uploads it as an artifact next to the bench rows"
+            "cProfile a preset workload (build, verify, queries or approx) and "
+            "print the top-N table; CI uploads it as an artifact next to the "
+            "bench rows"
         ),
     )
     profile_parser.add_argument(
         "--workload",
-        choices=["build", "verify", "queries"],
+        choices=["build", "verify", "queries", "approx"],
         default="build",
         help="which hot path to profile",
     )

@@ -157,7 +157,8 @@ def approximate_greedy_spanner(
     Theorem 6).  Metadata records the base-spanner size, the number of light
     edges, the number of buckets, cluster-graph rebuilds/merges, the settle
     counts of the cluster maintenance and of the approximate distance
-    queries — the quantities behind the runtime discussion of Section 5.1.
+    queries, and how many queries the cluster graph's ball cache answered —
+    the quantities behind the runtime discussion of Section 5.1.
     """
     if cluster_mode not in ("incremental", "from-scratch"):
         raise ValueError(
@@ -174,7 +175,7 @@ def approximate_greedy_spanner(
 
     # Step 1: bounded-degree base spanner G' with stretch base_stretch = 1 + ε'.
     base_epsilon = max(params.base_stretch - 1.0, 1e-9)
-    base_spanner = _build_base_spanner(metric, base, base_epsilon)
+    base_spanner = _build_base_spanner(metric, base, base_epsilon, params.t)
     base_graph = base_spanner.subgraph
 
     complete = base_spanner.base  # the metric's complete graph, reused as the spanner's base
@@ -261,6 +262,7 @@ def approximate_greedy_spanner(
                     cluster_graph.clustering_settles - initial_settles
                 ),
                 "cluster_query_settles": float(cluster_graph.query_settles),
+                "cluster_query_hits": float(cluster_graph.query_hits),
                 "approximate_queries": float(cluster_graph.query_count),
             }
         )
@@ -273,6 +275,7 @@ def approximate_greedy_spanner(
                 "cluster_initial_settles": 0.0,
                 "cluster_transition_settles": 0.0,
                 "cluster_query_settles": 0.0,
+                "cluster_query_hits": 0.0,
                 "approximate_queries": 0.0,
             }
         )
@@ -286,8 +289,14 @@ def approximate_greedy_spanner(
     )
 
 
-def _build_base_spanner(metric: FiniteMetric, base: str, base_epsilon: float) -> Spanner:
-    """Build the bounded-degree base spanner ``G'`` of the requested kind."""
+def _build_base_spanner(
+    metric: FiniteMetric, base: str, base_epsilon: float, stretch: float
+) -> Spanner:
+    """Build the bounded-degree base spanner ``G'`` of the requested kind.
+
+    ``stretch`` is the caller's target ``1 + ε``; errors name it rather than
+    the internal base stretch ``1 + base_epsilon``.
+    """
     if base == "net-tree":
         return bounded_degree_spanner(metric, base_epsilon)
     if base == "theta":
@@ -298,7 +307,14 @@ def _build_base_spanner(metric: FiniteMetric, base: str, base_epsilon: float) ->
             raise InvalidStretchError(
                 "the 'theta' base spanner requires a 2-dimensional Euclidean metric"
             )
-        return theta_graph_spanner(metric, cones_for_stretch(1.0 + base_epsilon))
+        try:
+            cones = cones_for_stretch(1.0 + base_epsilon)
+        except InvalidStretchError as error:
+            raise InvalidStretchError(
+                f"approx-greedy: stretch {stretch!r} is too close to 1 for the "
+                f"'theta' base spanner ({error})"
+            ) from error
+        return theta_graph_spanner(metric, cones)
     raise ValueError(f"unknown base spanner {base!r}; expected 'net-tree' or 'theta'")
 
 

@@ -72,11 +72,7 @@ import math
 from collections.abc import Iterable
 
 from repro.graph.indexed_graph import IndexedGraph
-from repro.graph.shortest_paths import (
-    indexed_ball,
-    indexed_dijkstra_with_cutoff,
-    indexed_greedy_clustering,
-)
+from repro.graph.shortest_paths import indexed_ball, indexed_greedy_clustering
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
 _MODES = ("from-scratch", "incremental")
@@ -186,6 +182,9 @@ class ClusterGraph:
         self._offset: list[float] = []
         self._cluster_bounds: dict[tuple[int, int], float] = {}
         self._cluster_index = IndexedGraph()
+        # Query balls of the *current* cluster graph, keyed by source cluster
+        # node: ``(radius, {node: distance})`` — see approximate_distance_ids.
+        self._balls: dict[int, tuple[float, dict[int, float]]] = {}
         self._dirty = False
         # Hierarchy history, enough to recompute the current level from
         # nothing: the radii of every level, the chronological spanner edge
@@ -200,6 +199,7 @@ class ClusterGraph:
         self.skipped_transitions = 0
         self.clustering_settles = 0
         self.query_count = 0
+        self.query_hits = 0
         self.query_settles = 0
 
         self._centre_of_view: dict[Vertex, Vertex] | None = None
@@ -260,6 +260,7 @@ class ClusterGraph:
             # Bounds are keyed by unique pairs, so unchecked appends are safe.
             cluster_index.append_edge_unchecked(cu, cv, bound)
         self._cluster_index = cluster_index
+        self._balls = {}
 
     def rebuild(self, radius: float | None = None) -> None:
         """Re-cluster from scratch, optionally at a new radius.
@@ -487,7 +488,21 @@ class ClusterGraph:
         return len(self._centres)
 
     def approximate_distance_ids(self, uid: int, vid: int, cutoff: float) -> float:
-        """Id-based :meth:`approximate_distance` — the bucket loop's hot query."""
+        """Id-based :meth:`approximate_distance` — the bucket loop's hot query.
+
+        The cluster-graph search is answered from a per-source ball cache.
+        A miss grows the source node's whole ``budget`` ball and stores it
+        (it only ever replaces a smaller one).  A later query from the same
+        node hits when the target is a member at ``d ≤ budget′`` (answer
+        ``d + slack``) or when ``budget′`` is within the ball's radius and the
+        target is not (answer ``inf``).  Both are exactly what a fresh
+        bounded search would return: the distance a Dijkstra settles for a
+        vertex within both cutoffs does not depend on the cutoff, and the
+        cluster graph has not changed since the ball was grown — every
+        change flushes the cache.  Balls are keyed by the directed source,
+        never the unordered pair: the reverse search sums the same path in
+        the other order and may differ in the last bit.
+        """
         self.query_count += 1
         if uid == vid:
             return 0.0
@@ -501,16 +516,24 @@ class ClusterGraph:
         if budget < 0:
             return math.inf
         cluster_index = self._cluster_index
-        distance, settled = indexed_dijkstra_with_cutoff(
-            cluster_index,
-            cluster_index.id_of(cu),
-            cluster_index.id_of(cv),
-            budget,
-        )
-        self.query_settles += len(settled)
-        if distance == math.inf:
-            return math.inf
-        return distance + slack
+        source = cluster_index.id_of(cu)
+        target = cluster_index.id_of(cv)
+        cached = self._balls.get(source)
+        if cached is not None:
+            radius, ball = cached
+            distance = ball.get(target)
+            if distance is not None and distance <= budget:
+                self.query_hits += 1
+                return distance + slack
+            if budget <= radius:
+                self.query_hits += 1
+                return math.inf
+        ball = indexed_ball(cluster_index, source, budget)
+        self.query_settles += len(ball)
+        self._balls[source] = (budget, ball)
+        if target in ball:
+            return ball[target] + slack
+        return math.inf
 
     def approximate_distance(self, u: Vertex, v: Vertex, cutoff: float) -> float:
         """Return an upper bound on ``δ_H(u, v)``, or ``inf`` if it exceeds ``cutoff``.
@@ -529,13 +552,20 @@ class ClusterGraph:
     # ------------------------------------------------------------------
     def notify_edge_added_ids(self, uid: int, vid: int, weight: float) -> None:
         """Id-based :meth:`notify_edge_added` for endpoints already interned."""
-        if self.index.has_edge_ids(uid, vid):
+        index = self.index
+        if index.has_edge_ids(uid, vid):
             # Weight overwrite: honoured for queries, but not logged — the
             # greedy loop adds every edge at most once, so this path only
             # serves ad-hoc callers.
-            self.index.add_edge_ids(uid, vid, weight)
+            increased = weight > index.weight_ids(uid, vid)
+            index.add_edge_ids(uid, vid, weight)
+            if increased:
+                # Bounds derived from the old, lighter edge would now
+                # underestimate; only a re-clustering can raise them.
+                self._build()
+                return
         else:
-            self.index.append_edge_unchecked_ids(uid, vid, weight)
+            index.append_edge_unchecked_ids(uid, vid, weight)
             self._edge_log.append((uid, vid, weight))
         self._dirty = True
         centre_vid = self._centre_vid
@@ -546,6 +576,7 @@ class ClusterGraph:
         bound = offset[uid] + weight + offset[vid]
         if _patch_bound(self._cluster_bounds, cu, cv, bound):
             self._cluster_index.add_edge(cu, cv, bound)
+            self._balls = {}
             self._graph_view = None
 
     def notify_edge_added(self, u: Vertex, v: Vertex, weight: float) -> None:
@@ -554,7 +585,9 @@ class ClusterGraph:
         The clusters themselves are left untouched (they are refreshed on the
         next bucket transition); the edge is appended to the persistent
         spanner index and the inter-cluster bound is patched in place, which
-        keeps the never-underestimate invariant.
+        keeps the never-underestimate invariant.  Re-notifying an existing
+        edge at a *larger* weight re-clusters at the current radius instead,
+        since a patch can only lower a bound.
         """
         self.notify_edge_added_ids(self.index.id_of(u), self.index.id_of(v), weight)
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.approximate_greedy import (
@@ -11,6 +14,8 @@ from repro.core.approximate_greedy import (
 from repro.core.greedy import greedy_spanner_of_metric
 from repro.errors import InvalidStretchError
 from repro.metric.generators import clustered_points, line_points, uniform_points
+from repro.service.workers import canonical_spanner_edges
+from repro.spanners.registry import build_spanner
 
 
 class TestParameterDerivation:
@@ -136,6 +141,44 @@ class TestThetaBase:
         metric = line_points(10)  # 1-dimensional
         with pytest.raises(InvalidStretchError):
             approximate_greedy_spanner(metric, 0.5, base="theta")
+
+    def test_unreachable_stretch_names_the_requested_stretch(self, small_points):
+        with pytest.raises(
+            InvalidStretchError, match=r"approx-greedy: stretch 1\.000000000001 "
+        ):
+            build_spanner("approx-greedy", small_points, 1 + 1e-12)
+
+
+def _edge_digest(spanner) -> str:
+    data = json.dumps(canonical_spanner_edges(spanner), separators=(",", ":"))
+    return hashlib.sha256(data.encode("utf-8")).hexdigest()
+
+
+class TestGoldenEdgeSets:
+    """Edge digests pinned from the implementation before the cluster-graph
+    query cache: caching must not move a single edge or float."""
+
+    @pytest.mark.parametrize(
+        ("dimension", "n", "seed", "base", "digest"),
+        [
+            (2, 250, 1, "theta",
+             "d72b85132e2abc2abc4e5626e447dfdd418080342c83e7bd85b87385c11b3167"),
+            (2, 250, 2, "theta",
+             "2022781fb2650622c2713ffc003be91dde0fc2db14271592345d0093c85213be"),
+            (2, 250, 3, "theta",
+             "228f529ca29801865bd779e57b43d4b3b7e5788c55647d2bcae7ab9d402e011c"),
+            (3, 150, 1, "net-tree",
+             "49e3fb4299a7d69cd28e2751926f8d027f40664bfa239fcbbf4fb302c011472c"),
+        ],
+    )
+    def test_edge_digest_is_pinned(self, dimension, n, seed, base, digest):
+        metric = uniform_points(n, dimension=dimension, seed=seed)
+        spanner = approximate_greedy_spanner(metric, 0.5, base=base)
+        assert _edge_digest(spanner) == digest
+        if (dimension, seed) == (2, 1):
+            # 446,594 settles without the cache.
+            assert spanner.metadata["cluster_query_settles"] <= 446_594 / 2
+            assert spanner.metadata["cluster_query_hits"] > 0
 
 
 class TestQualityVersusExactGreedy:

@@ -6,11 +6,12 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cluster_graph import ClusterGraph
 from repro.core.greedy import greedy_spanner
 from repro.graph.generators import grid_graph, path_graph, random_connected_graph
-from repro.graph.shortest_paths import pair_distance
+from repro.graph.shortest_paths import indexed_dijkstra_with_cutoff, pair_distance
 
 
 @pytest.fixture
@@ -204,3 +205,113 @@ class TestUpdates:
         u, v, w = next(iter(partial_spanner.edges()))
         clusters.notify_edge_added(u, v, w)
         assert clusters.graph.number_of_edges == edges_before
+
+    def test_notify_weight_increase_reclusters(self):
+        graph = path_graph(5)
+        clusters = ClusterGraph(graph, radius=0.1)
+        assert clusters.approximate_distance(0, 4, math.inf) == 4.0
+        graph.add_edge(0, 1, 10.0)
+        clusters.notify_edge_added(0, 1, 10.0)
+        assert clusters.rebuild_count == 2
+        assert clusters.approximate_distance(0, 4, math.inf) == 13.0
+        assert clusters.check_never_underestimates([(0, 4), (0, 1), (1, 4)])
+
+
+def _fresh_search(clusters: ClusterGraph, uid: int, vid: int, cutoff: float) -> float:
+    """What an uncached query returns: a new bounded search on the cluster graph."""
+    if uid == vid:
+        return 0.0
+    cu, cv = clusters._centre_vid[uid], clusters._centre_vid[vid]
+    slack = clusters._offset[uid] + clusters._offset[vid]
+    if cu == cv:
+        return slack if slack <= cutoff else math.inf
+    budget = cutoff - slack
+    if budget < 0:
+        return math.inf
+    index = clusters._cluster_index
+    distance, _ = indexed_dijkstra_with_cutoff(
+        index, index.id_of(cu), index.id_of(cv), budget
+    )
+    return distance + slack
+
+
+_N = 12
+_vertex_ids = st.integers(min_value=0, max_value=_N - 1)
+_cache_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("query"),
+            _vertex_ids,
+            _vertex_ids,
+            st.one_of(st.floats(min_value=0.0, max_value=40.0), st.just(math.inf)),
+        ),
+        st.tuples(
+            st.sampled_from(["notify", "notify-intra"]),
+            _vertex_ids,
+            _vertex_ids,
+            st.floats(min_value=0.5, max_value=30.0),
+        ),
+        st.tuples(
+            st.just("transition"), st.just(0), st.just(0), st.sampled_from([1.0, 1.5, 3.0])
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestQueryCache:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        radius=st.sampled_from([0.5, 1.5, 4.0]),
+        steps=_cache_steps,
+    )
+    def test_cached_queries_equal_fresh_searches(self, seed, radius, steps):
+        """Random interleavings of queries, notifies and transitions: every
+        answer equals a fresh search bit for bit, in both engines, and both
+        engines run the same searches."""
+        graph = random_connected_graph(_N, 0.15, seed=seed)
+        engines = [
+            ClusterGraph(graph, radius, mode=mode) for mode in ("incremental", "from-scratch")
+        ]
+        probes = [(0, _N - 1, math.inf), (_N - 1, 0, 12.0)]
+        for kind, a, b, value in steps:
+            if kind == "query":
+                probes.append((a, b, value))
+            elif kind == "transition":
+                for clusters in engines:
+                    clusters.transition(clusters.radius * value)
+            else:
+                if kind == "notify-intra":
+                    # A partner in a's cluster (b picks which), or none.
+                    centre = engines[0]._centre_vid
+                    mates = [x for x in range(_N) if x != a and centre[x] == centre[a]]
+                    if not mates:
+                        continue
+                    b = mates[b % len(mates)]
+                if a == b:
+                    continue
+                u, v = engines[0].index.vertex_of(a), engines[0].index.vertex_of(b)
+                # Re-notifying an existing edge keeps its weight: a
+                # non-improving patch, never an increase.
+                weight = graph.weight(u, v) if graph.has_edge(u, v) else value
+                graph.add_edge(u, v, weight)
+                for clusters in engines:
+                    clusters.notify_edge_added_ids(a, b, weight)
+            # Every target from the recent probes' sources, first at the
+            # probe's cutoff, then at cutoffs equal to each target's own
+            # answer in increasing order, so budgets land just past the
+            # cached ball's radius.
+            for uid, _, cutoff in probes[-3:]:
+                tight = {vid: _fresh_search(engines[0], uid, vid, math.inf) for vid in range(_N)}
+                queries = [(vid, cutoff) for vid in range(_N)]
+                queries += sorted(tight.items(), key=lambda item: item[1])
+                for vid, value in queries:
+                    answers = [
+                        clusters.approximate_distance_ids(uid, vid, value)
+                        for clusters in engines
+                    ]
+                    assert answers[0] == answers[1] == _fresh_search(engines[0], uid, vid, value)
+            assert engines[0].query_settles == engines[1].query_settles
+            assert engines[0].query_hits == engines[1].query_hits

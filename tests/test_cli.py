@@ -210,6 +210,16 @@ class TestCommands:
         # The spanner is built before the profiler starts.
         assert "parallel_greedy_spanner" not in report
 
+    def test_profile_approx_profiles_approximate_greedy(self, capsys, tmp_path):
+        out = tmp_path / "profile_approx.txt"
+        assert main(
+            ["profile", "--workload", "approx", "--n", "60", "--seed", "2",
+             "--top", "10", "--output", str(out)]
+        ) == 0
+        report = out.read_text()
+        assert "approximate_greedy_spanner" in report
+        assert "approximate_distance_ids" in report
+
     def test_bench_verify_writes_trajectory(self, capsys, tmp_path):
         import json
 
