@@ -71,7 +71,6 @@ from repro.graph.csr import CSRAdjacency, SharedCSRDescriptor, attach_csr, share
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import (
     PairRows,
-    csr_bounded_search,
     indexed_bidirectional_cutoff,
     stamped_ball,
     stamped_scratch,
@@ -87,13 +86,6 @@ from repro.metric.stream import edge_bands, sorted_pair_stream
 #: measured sweet spot on the bench workloads is small (docs/PERFORMANCE.md).
 DEFAULT_BANDS = 8
 
-#: Average degree (``nnz / n``) above which the vectorized numpy ball kernel
-#: beats the scalar loop over weight-sorted pair rows.  Per-settle numpy
-#: overhead (~10 µs of small-array calls) only amortizes once the adjacency
-#: slices are long — dense metric closures, not sparse geometric graphs
-#: (measured in docs/PERFORMANCE.md).
-SCALAR_KERNEL_MAX_DEGREE = 64.0
-
 #: A group is ``(source_id, [(canonical_index, target_id, weight), ...])``
 #: with items in canonical order, so the last item carries the max weight.
 FilterGroup = tuple[int, list[tuple[int, int, float]]]
@@ -104,11 +96,10 @@ FilterGroup = tuple[int, list[tuple[int, int, float]]]
 #: ``set.update`` instead of a per-pair python loop.
 ShardResult = tuple[list[int], int, list[int]]
 
-# Worker-side caches of the attached frozen snapshot (and its bulk pair-row
-# conversion for the scalar kernel): bands reuse one attachment until the
-# parent publishes a new block under a new name.
-_ATTACHED: Optional[tuple[str, CSRAdjacency]] = None
-_ATTACHED_PAIRS: Optional[tuple[str, PairRows]] = None
+# Worker-side cache of the frozen snapshot's pair-row conversion, keyed by
+# the shared-memory block name: shards of one band reuse it until the parent
+# publishes a new block under a new name.
+_WORKER_ROWS: Optional[tuple[str, PairRows]] = None
 
 #: Chaos hook for the worker-death regression tests: when set to a band
 #: index, a forked filter worker handed that band SIGKILLs itself before
@@ -117,17 +108,6 @@ _ATTACHED_PAIRS: Optional[tuple[str, PairRows]] = None
 #: inline re-filter path is immune by construction.  Never set in
 #: production code.
 _KILL_AT_BAND: Optional[int] = None
-
-
-def _attached_csr(descriptor: SharedCSRDescriptor) -> CSRAdjacency:
-    global _ATTACHED
-    if _ATTACHED is not None and _ATTACHED[0] == descriptor.name:
-        return _ATTACHED[1]
-    if _ATTACHED is not None:
-        _ATTACHED[1].close_shared()
-    csr = attach_csr(descriptor)
-    _ATTACHED = (descriptor.name, csr)
-    return csr
 
 
 def _csr_as_pairs(csr: CSRAdjacency) -> PairRows:
@@ -155,53 +135,37 @@ def _csr_as_pairs(csr: CSRAdjacency) -> PairRows:
     return [flat[bounds[v]:bounds[v + 1]] for v in range(len(bounds) - 1)]
 
 
-def _filter_groups(
-    frozen: Optional[CSRAdjacency],
-    pairs: Optional[PairRows],
-    groups: list[FilterGroup],
-    t: float,
-) -> ShardResult:
+def _filter_groups(rows: PairRows, groups: list[FilterGroup], t: float) -> ShardResult:
     """Decide one shard of per-source groups against the frozen spanner.
 
-    ``pairs`` non-None selects the scalar kernel (:func:`stamped_ball` over
-    weight-sorted rows — the inline builder's live rows or a worker's
-    :func:`_csr_as_pairs` conversion); otherwise the vectorized
-    :func:`csr_bounded_search` runs on the ``frozen`` snapshot.  Each ball
-    runs to its full radius even after every group target is settled: the
-    surplus is harvested into the coverage cache, where it rejects later
-    bands' edges for free (early exit was a measured net loss —
-    docs/PERFORMANCE.md).
+    ``rows`` are the frozen spanner's weight-sorted ``(weight, neighbour)``
+    rows — the inline builder's live rows or a worker's
+    :func:`_csr_as_pairs` conversion — and every group is decided by one
+    :func:`stamped_ball` over them.  Each ball runs to its full radius even
+    after every group target is settled: the surplus is harvested into the
+    coverage cache, where it rejects later bands' edges for free (early
+    exit was a measured net loss — docs/PERFORMANCE.md).
 
     Returns ``(candidate_indices, settles, covered)``: the canonical indices
     of the edges the frozen spanner could NOT reject, the ball settle count,
     and every settled ``(source, x)`` pair packed into the coverage cache's
     ``(min << 32) | max`` key encoding (one list comprehension per ball), so
     the parent's merge is a single ``set.update``.  Pure function of the
-    arguments — and the kernel choice is part of the arguments — so
-    verdicts, counts and harvests never depend on the worker count: the
-    determinism anchor.
+    arguments, so verdicts, counts and harvests never depend on the worker
+    count: the determinism anchor.
     """
     candidates: list[int] = []
     settles = 0
     covered: list[int] = []
-    if pairs is not None:
-        dist, stamp, genbox = stamped_scratch(len(pairs))
+    dist, stamp, genbox = stamped_scratch(len(rows))
     for source_id, items in groups:
         radius = t * items[-1][2]  # canonical order: last item has max weight
-        if pairs is not None:
-            genbox[0] += 1
-            gen = genbox[0]
-            settled_ids = stamped_ball(pairs, source_id, radius, dist, stamp, gen)
-            for canonical_index, target_id, weight in items:
-                if stamp[target_id] != gen or dist[target_id] > t * weight:
-                    candidates.append(canonical_index)
-        else:
-            settled = csr_bounded_search(frozen, source_id, radius)[1]
-            settled_ids = settled  # keys iterate in settle order
-            for canonical_index, target_id, weight in items:
-                distance = settled.get(target_id)
-                if distance is None or distance > t * weight:
-                    candidates.append(canonical_index)
+        genbox[0] += 1
+        gen = genbox[0]
+        settled_ids = stamped_ball(rows, source_id, radius, dist, stamp, gen)
+        for canonical_index, target_id, weight in items:
+            if stamp[target_id] != gen or dist[target_id] > t * weight:
+                candidates.append(canonical_index)
         settles += len(settled_ids)
         covered.extend(
             [
@@ -213,27 +177,29 @@ def _filter_groups(
 
 
 def _filter_shard(payload) -> ShardResult:
-    """Worker entry point: attach the published snapshot, decide the shard."""
-    global _ATTACHED_PAIRS
-    frozen, shard, t, scalar_kernel, band_index = payload
+    """Worker entry point: convert the published snapshot, decide the shard.
+
+    A shared-memory snapshot is attached, converted once with
+    :func:`_csr_as_pairs` and detached at once; the rows are cached under
+    the block name for the band's later shards.  A pickled
+    :class:`CSRAdjacency` (the no-shared-memory fallback) is converted
+    directly.
+    """
+    global _WORKER_ROWS
+    frozen, shard, t, band_index = payload
     if _KILL_AT_BAND is not None and band_index == _KILL_AT_BAND:
         # Chaos injection: die exactly the way a OOM-killed or crashed
         # worker would — no exception, no cleanup, the process just stops.
         os.kill(os.getpid(), signal.SIGKILL)
-    if isinstance(frozen, SharedCSRDescriptor):
-        name = frozen.name
-        frozen = _attached_csr(frozen)
-    else:
-        name = None
-    pairs = None
-    if scalar_kernel:
-        if name is not None:
-            if _ATTACHED_PAIRS is None or _ATTACHED_PAIRS[0] != name:
-                _ATTACHED_PAIRS = (name, _csr_as_pairs(frozen))
-            pairs = _ATTACHED_PAIRS[1]
-        else:
-            pairs = _csr_as_pairs(frozen)
-    return _filter_groups(frozen, pairs, shard, t)
+    if not isinstance(frozen, SharedCSRDescriptor):
+        return _filter_groups(_csr_as_pairs(frozen), shard, t)
+    if _WORKER_ROWS is None or _WORKER_ROWS[0] != frozen.name:
+        csr = attach_csr(frozen)
+        try:
+            _WORKER_ROWS = (frozen.name, _csr_as_pairs(csr))
+        finally:
+            csr.close_shared()
+    return _filter_groups(_WORKER_ROWS[1], shard, t)
 
 
 def _pack_pair(a: int, b: int) -> int:
@@ -390,7 +356,6 @@ def parallel_greedy_spanner(
     used_shared_memory = False
     pool_fallbacks = 0
     worker_deaths = 0
-    scalar_bands = 0
     #: Monotone coverage cache: packed unordered pairs (u, x) certified
     #: ``δ(u, x) ≤ r`` by some earlier ball or replay search of radius
     #: ``r ≤ t·w`` for every weight ``w`` still ahead in the canonical order
@@ -444,11 +409,6 @@ def parallel_greedy_spanner(
                 )
                 info[canonical_index] = (u, v, uid, vid, weight)
             examined += len(band)
-            scalar_kernel = 2 * mirror.number_of_edges <= SCALAR_KERNEL_MAX_DEGREE * max(
-                1, mirror.number_of_vertices
-            )
-            if scalar_kernel:
-                scalar_bands += 1
             group_items: list[FilterGroup] = list(groups.items())
             results: Optional[list[ShardResult]] = None
             if pool is not None and len(group_items) > 1:
@@ -465,7 +425,7 @@ def parallel_greedy_spanner(
                     results = pool.map(
                         _filter_shard,
                         [
-                            (payload_frozen, shard, t, scalar_kernel, band_count - 1)
+                            (payload_frozen, shard, t, band_count - 1)
                             for shard in shards
                         ],
                     )
@@ -488,10 +448,7 @@ def parallel_greedy_spanner(
                 # Inline (workers=1, pool fallback or worker-death re-filter):
                 # no replay has run since the band began, so the live rows
                 # are exactly the frozen spanner.
-                if scalar_kernel:
-                    results = [_filter_groups(None, rows, group_items, t)]
-                else:
-                    results = [_filter_groups(mirror.finalize(), None, group_items, t)]
+                results = [_filter_groups(rows, group_items, t)]
             results = results or []
             candidates = sorted(chain.from_iterable(part for part, _, _ in results))
             filter_settles += sum(settles for _, settles, _ in results)
@@ -534,7 +491,6 @@ def parallel_greedy_spanner(
         "build_candidate_edges": float(candidate_total),
         "build_cache_hits": float(cache_hits),
         "build_bands": float(band_count),
-        "build_scalar_bands": float(scalar_bands),
         "build_workers": float(worker_count),
         "build_shared_memory": 1.0 if used_shared_memory else 0.0,
         "build_pool_fallbacks": float(pool_fallbacks),

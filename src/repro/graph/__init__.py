@@ -11,9 +11,6 @@ from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.csr import CSRAdjacency, SharedCSRDescriptor, attach_csr, share_csr
 from repro.graph.shortest_paths import (
     all_pairs_distances,
-    csr_bidirectional_cutoff,
-    csr_bounded_search,
-    csr_sssp,
     dijkstra,
     dijkstra_with_cutoff,
     dijkstra_with_cutoff_stats,
@@ -52,9 +49,6 @@ __all__ = [
     "attach_csr",
     "share_csr",
     "all_pairs_distances",
-    "csr_bidirectional_cutoff",
-    "csr_bounded_search",
-    "csr_sssp",
     "dijkstra",
     "dijkstra_with_cutoff",
     "dijkstra_with_cutoff_stats",

@@ -1,30 +1,23 @@
-"""Compressed-sparse-row (CSR) adjacency: the array-native graph substrate.
+"""Compressed-sparse-row (CSR) adjacency: the band-parallel builder's transport.
 
-:class:`~repro.graph.indexed_graph.IndexedGraph` stores adjacency as Python
-list-of-lists — the right structure for amortized O(1) edge appends, but every
-relaxation still walks boxed Python floats.  :class:`CSRAdjacency` is the
-*finalized* form of the same graph: three flat numpy arrays
+No search runs on this representation; every search walks the
+:class:`~repro.graph.indexed_graph.IndexedGraph` list-of-lists adjacency.
+:class:`CSRAdjacency` exists so the parallel spanner builder
+(:mod:`repro.core.parallel_greedy`) can hand its frozen spanner to worker
+processes: :meth:`IndexedGraph.finalize` packs the adjacency into three flat
+numpy arrays
 
 * ``indptr``  — ``int64[n + 1]``, vertex ``v``'s neighbours live at
   ``indices[indptr[v]:indptr[v + 1]]``,
 * ``indices`` — ``int64[2m]``, neighbour ids of each directed half-edge,
 * ``weights`` — ``float64[2m]``, the parallel weight of each half-edge,
 
-with each vertex's slice preserving the exact adjacency *order* of the list
-representation, so a search that relaxes a CSR slice front-to-back pushes the
-same heap entries in the same order as the list path — the property the
-``mode="csr"`` kernels in :mod:`repro.graph.shortest_paths` rely on for
-bit-identical results.
-
-CSR views are immutable snapshots: :meth:`IndexedGraph.finalize` caches one
-and invalidates it on any mutation, so alternating append/search phases pay
-one O(n + m) rebuild per phase, amortized against the searches that reuse it.
-
-For the parallel spanner builder (:mod:`repro.core.parallel_greedy`) the
-three arrays of a frozen snapshot are published to worker processes through
-one :class:`multiprocessing.shared_memory.SharedMemory` block —
-:func:`share_csr` / :func:`attach_csr` — so each construction band ships a
-~16-byte descriptor per task instead of pickling O(m) arrays.
+with each vertex's slice preserving the adjacency order of the list
+representation, and :func:`share_csr` / :func:`attach_csr` publish them
+through one :class:`multiprocessing.shared_memory.SharedMemory` block — so
+each construction band ships a ~16-byte descriptor per task instead of
+pickling O(m) arrays.  A worker converts the attached snapshot once into
+weight-sorted pair rows and detaches.
 """
 
 from __future__ import annotations
@@ -86,11 +79,6 @@ class CSRAdjacency:
         """The number of stored half-edges (``2m`` for an undirected graph)."""
         return int(self.indices.shape[0])
 
-    def neighbours(self, vid: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return the ``(ids, weights)`` slice views of vertex ``vid``."""
-        start, end = self.indptr[vid], self.indptr[vid + 1]
-        return self.indices[start:end], self.weights[start:end]
-
     def close_shared(self) -> None:
         """Detach from a shared-memory backing buffer, if this view has one."""
         if self._shm is not None:
@@ -139,7 +127,7 @@ def attach_csr(descriptor: SharedCSRDescriptor) -> CSRAdjacency:
     """Attach to a published CSR snapshot by descriptor (worker side).
 
     The returned view holds the mapping open; call
-    :meth:`CSRAdjacency.close_shared` when a newer snapshot supersedes it.
+    :meth:`CSRAdjacency.close_shared` once the arrays have been read.
     The parent keeps ownership of the block's lifetime: it unlinks after the
     band completes.  Workers are forked, so they share the parent's
     resource-tracker process and their attach is a no-op re-registration —

@@ -60,7 +60,6 @@ class IndexedGraph:
         "_neighbour_ids",
         "_neighbour_weights",
         "_edge_count",
-        "_csr",
     )
 
     def __init__(
@@ -73,7 +72,6 @@ class IndexedGraph:
         self._neighbour_ids: list[list[int]] = []
         self._neighbour_weights: list[list[float]] = []
         self._edge_count = 0
-        self._csr = None
         if vertices is not None:
             for vertex in vertices:
                 self.intern(vertex)
@@ -93,7 +91,6 @@ class IndexedGraph:
             self._vertex_of.append(vertex)
             self._neighbour_ids.append([])
             self._neighbour_weights.append([])
-            self._csr = None  # n changed: any finalized snapshot is stale
         return vid
 
     def add_vertices(self, vertices: Iterable[Vertex]) -> None:
@@ -155,7 +152,6 @@ class IndexedGraph:
             self._neighbour_weights[uid][slot] = value
             back = self._neighbour_ids[vid].index(uid)
             self._neighbour_weights[vid][back] = value
-            self._csr = None  # weight overwrite bypasses _append_half_edge
 
     def append_edge_unchecked(self, u: Vertex, v: Vertex, weight: float) -> None:
         """Append the edge ``(u, v)`` *assuming it is not already present*.
@@ -195,7 +191,6 @@ class IndexedGraph:
     def _append_half_edge(self, uid: int, vid: int, weight: float) -> None:
         self._neighbour_ids[uid].append(vid)
         self._neighbour_weights[uid].append(weight)
-        self._csr = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -232,26 +227,21 @@ class IndexedGraph:
         return zip(self._neighbour_ids[vid], self._neighbour_weights[vid])
 
     def finalize(self):
-        """Return the CSR snapshot of the current adjacency, rebuilding if stale.
+        """Return a CSR snapshot of the current adjacency.
 
-        The snapshot (:class:`~repro.graph.csr.CSRAdjacency` — flat numpy
-        ``indptr`` / ``indices`` / ``weights`` arrays preserving per-vertex
-        neighbour order) is cached on the graph and invalidated by *any*
-        mutation: interning a new vertex, appending a half-edge, or
-        overwriting an edge weight.  Alternating mutate/search phases
-        therefore pay one O(n + m) rebuild per phase, amortized across every
-        ``mode="csr"`` search that reuses it.  Callers must treat the
-        returned arrays as immutable.
+        A plain O(n + m) conversion into a fresh
+        :class:`~repro.graph.csr.CSRAdjacency` (flat numpy ``indptr`` /
+        ``indices`` / ``weights`` arrays preserving per-vertex neighbour
+        order), nothing cached: later mutations do not touch a returned
+        snapshot.  Its one caller is the band-parallel builder's pool path,
+        which snapshots the frozen spanner once per band to publish it to
+        worker processes through shared memory.
         """
-        csr = self._csr
-        if csr is None:
-            from repro.graph.csr import CSRAdjacency
+        from repro.graph.csr import CSRAdjacency
 
-            csr = CSRAdjacency.from_adjacency_lists(
-                self._neighbour_ids, self._neighbour_weights
-            )
-            self._csr = csr
-        return csr
+        return CSRAdjacency.from_adjacency_lists(
+            self._neighbour_ids, self._neighbour_weights
+        )
 
     def adjacency_arrays(self) -> tuple[list[list[int]], list[list[float]]]:
         """Return the raw parallel adjacency arrays (shared, not copied).

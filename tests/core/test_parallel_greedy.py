@@ -9,6 +9,8 @@ hits) is a pure function of the workload — never of the fan-out.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
@@ -78,7 +80,6 @@ class TestGraphPath:
             "build_candidate_edges",
             "build_cache_hits",
             "build_bands",
-            "build_scalar_bands",
             "build_workers",
             "edges_examined",
             "edges_added",
@@ -112,7 +113,31 @@ class TestGraphPath:
         monkeypatch.setattr(pg, "_csr_as_pairs", forbidden)
         parallel = parallel_greedy_spanner(geometric_instance, 2.0, workers=1)
         assert canonical_edges(parallel) == canonical_edges(serial_spanner)
-        assert parallel.metadata["build_scalar_bands"] == parallel.metadata["build_bands"]
+
+    def test_dense_inline_build_never_snapshots(self, monkeypatch):
+        """Mean degree 79: a workers=1 build still filters every band on the
+        live rows, with no CSR snapshot and no CSR-to-pairs conversion."""
+        from repro.core import parallel_greedy as pg
+        from repro.graph.indexed_graph import IndexedGraph
+        from repro.graph.weighted_graph import WeightedGraph
+
+        rng = random.Random(11)
+        n = 80
+        graph = WeightedGraph(vertices=range(n))
+        for u in range(n):
+            for v in range(u + 1, n):
+                graph.add_edge(u, v, rng.uniform(1.0, 1.01))
+        # Every two-hop path weighs at least 2 > 1.01, so t=1 keeps every edge.
+        serial = greedy_spanner(graph, 1.0)
+        assert serial.subgraph.number_of_edges == n * (n - 1) // 2
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("CSR snapshot on the inline path")
+
+        monkeypatch.setattr(IndexedGraph, "finalize", forbidden)
+        monkeypatch.setattr(pg, "_csr_as_pairs", forbidden)
+        parallel = parallel_greedy_spanner(graph, 1.0, workers=1)
+        assert canonical_edges(parallel) == canonical_edges(serial)
 
 
 class TestMetricPath:

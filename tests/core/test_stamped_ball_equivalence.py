@@ -93,10 +93,7 @@ def test_live_and_csr_rows_filter_identically(graph, data, t):
         ]
         groups.append((source, items))
     # (candidates, settles, packed harvest) — the whole shard result.
-    assert _filter_groups(None, live, groups, t) == _filter_groups(None, csr_rows, groups, t)
-    assert _filter_groups(None, live, groups, t) == _filter_groups(
-        mirror.finalize(), None, groups, t
-    )
+    assert _filter_groups(live, groups, t) == _filter_groups(csr_rows, groups, t)
 
 
 @pytest.mark.skipif(not fork_available(), reason="fork start method required")

@@ -164,28 +164,21 @@ class TestFinalize:
         assert csr.indices.tolist() == [1, 0, 2, 1]
         assert csr.weights.tolist() == [2.0, 2.0, 1.5, 1.5]
 
-    def test_snapshot_is_cached_between_searches(self):
-        graph = IndexedGraph(vertices=["a", "b"])
-        graph.append_edge_unchecked_ids(0, 1, 1.0)
-        assert graph.finalize() is graph.finalize()
-
     def test_mutations_invalidate_the_snapshot(self):
         graph = IndexedGraph(vertices=["a", "b", "c"])
         graph.append_edge_unchecked_ids(0, 1, 1.0)
         first = graph.finalize()
         graph.append_edge_unchecked_ids(1, 2, 2.0)
         second = graph.finalize()
-        assert second is not first
         assert second.nnz == 4
+        assert first.nnz == 2  # an earlier snapshot is never touched
         # Interning a new vertex changes n: stale too.
         graph.intern("d")
         third = graph.finalize()
-        assert third is not second
         assert third.n == 4
         # Overwriting a weight through the checked path: stale again.
         graph.add_edge("a", "b", 9.0)
         fourth = graph.finalize()
-        assert fourth is not third
         assert 9.0 in fourth.weights.tolist()
 
     def test_preserves_neighbour_order(self):
