@@ -693,6 +693,10 @@ def _command_bench_queries(args: argparse.Namespace) -> int:
     return 0 if all_match else 1
 
 
+#: Warm submit -> ``run_once`` jobs timed by ``profile --workload service``.
+SERVICE_PROFILE_JOBS = 200
+
+
 def _command_profile(args: argparse.Namespace) -> int:
     """cProfile a preset workload and print/save the top-N cumulative table.
 
@@ -732,6 +736,27 @@ def _command_profile(args: argparse.Namespace) -> int:
         profiler.enable()
         approximate_greedy_spanner(metric, 0.5, base="theta")
         profiler.disable()
+    elif args.workload == "service":
+        import tempfile
+
+        from repro.experiments.build_bench import bucketed_workload
+        from repro.service.cache import ArtifactCache
+        from repro.service.queue import JobQueue
+        from repro.service.workers import ServiceWorker
+
+        workload = bucketed_workload(n=args.n, degree=args.degree, seed=args.seed)
+        spec = {"workload": workload, "stretch": workload["stretch"]}
+        with tempfile.TemporaryDirectory() as root:
+            queue = JobQueue(root)
+            worker = ServiceWorker(queue, ArtifactCache(Path(root) / "cache"))
+            # The cold build is set-up; the profiled path is the warm job.
+            queue.submit(spec)
+            worker.run_once()
+            profiler.enable()
+            for _ in range(SERVICE_PROFILE_JOBS):
+                queue.submit(spec)
+                worker.run_once()
+            profiler.disable()
     else:
         from repro.experiments.query_bench import query_workload, run_query_bench
 
@@ -833,6 +858,7 @@ def _service_workload(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _command_service_submit(args: argparse.Namespace) -> int:
+    from repro.errors import InvalidStretchError
     from repro.service.degrade import DEFAULT_CHAIN
     from repro.service.queue import JobQueue
 
@@ -857,9 +883,13 @@ def _command_service_submit(args: argparse.Namespace) -> int:
     if args.measure_stretch:
         spec["measure_stretch"] = True
     queue = JobQueue(args.root)
-    job = queue.submit(
-        spec, max_attempts=args.max_attempts, lease_seconds=args.lease_seconds
-    )
+    try:
+        job = queue.submit(
+            spec, max_attempts=args.max_attempts, lease_seconds=args.lease_seconds
+        )
+    except InvalidStretchError as error:
+        print(str(error))
+        return 2
     print(f"submitted {job.job_id} ({job.state})")
     return 0
 
@@ -1393,14 +1423,15 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser = subparsers.add_parser(
         "profile",
         help=(
-            "cProfile a preset workload (build, verify, queries or approx) and "
+            "cProfile a preset workload (build, verify, queries, approx or "
+            "service) and "
             "print the top-N table; CI uploads it as an artifact next to the "
             "bench rows"
         ),
     )
     profile_parser.add_argument(
         "--workload",
-        choices=["build", "verify", "queries", "approx"],
+        choices=["build", "verify", "queries", "approx", "service"],
         default="build",
         help="which hot path to profile",
     )

@@ -20,6 +20,30 @@ from repro.errors import GraphError
 from repro.graph.weighted_graph import WeightedGraph
 
 
+def _durable_temp(path: Path, text: str, encoding: str) -> str:
+    """Write ``text`` to a fsynced temp file beside ``path``; returns its name."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(fd, "w", encoding=encoding) as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+    except BaseException:
+        _discard(tmp_name)
+        raise
+    return tmp_name
+
+
+def _discard(tmp_name: str) -> None:
+    try:
+        os.unlink(tmp_name)
+    except OSError:
+        pass
+
+
 def atomic_write_text(path: str | Path, text: str, *, encoding: str = "utf-8") -> None:
     """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
 
@@ -30,22 +54,11 @@ def atomic_write_text(path: str | Path, text: str, *, encoding: str = "utf-8") -
     repository (bench trajectories, job records, cache manifests) goes
     through here so an interrupted run can never corrupt a baseline.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
-    )
+    tmp_name = _durable_temp(Path(path), text, encoding)
     try:
-        with os.fdopen(fd, "w", encoding=encoding) as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        _discard(tmp_name)
         raise
 
 
@@ -64,6 +77,25 @@ def atomic_write_json(
     """
     text = json.dumps(document, indent=indent, sort_keys=sort_keys) + "\n"
     atomic_write_text(path, text)
+
+
+def atomic_create_json(path: str | Path, document: Any) -> bool:
+    """Create ``path`` holding ``document``; ``False`` if the path already exists.
+
+    The same fsynced temp file and JSON format as :func:`atomic_write_json`,
+    committed by ``os.link`` instead of ``os.replace``: the link refuses an
+    existing destination, so of two writers racing to create one path
+    exactly one succeeds.
+    """
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    tmp_name = _durable_temp(Path(path), text, "utf-8")
+    try:
+        os.link(tmp_name, path)
+    except FileExistsError:
+        return False
+    finally:
+        _discard(tmp_name)
+    return True
 
 
 def to_edge_list(graph: WeightedGraph) -> list[tuple[Any, Any, float]]:

@@ -220,6 +220,18 @@ class TestCommands:
         assert "approximate_greedy_spanner" in report
         assert "approximate_distance_ids" in report
 
+    def test_profile_service_profiles_only_warm_jobs(self, capsys, tmp_path):
+        out = tmp_path / "profile_service.txt"
+        assert main(
+            ["profile", "--workload", "service", "--n", "200", "--degree", "8",
+             "--top", "40", "--output", str(out)]
+        ) == 0
+        report = out.read_text()
+        assert "(claim)" in report
+        assert "(submit)" in report
+        # The cold build is set-up: no degradation run inside the profile.
+        assert "run_with_degradation" not in report
+
     def test_bench_verify_writes_trajectory(self, capsys, tmp_path):
         import json
 
@@ -398,6 +410,39 @@ class TestServiceCommands:
     def test_submit_rejects_unknown_chain_builder(self, capsys, tmp_path):
         assert main(self.SUBMIT + self._root(tmp_path) + ["--chain", "nope"]) == 2
         assert "unknown chain builders" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("stretch", ["0.5", "nan"])
+    def test_submit_rejects_an_invalid_stretch(self, capsys, tmp_path, stretch):
+        root = self._root(tmp_path)
+        argv = self.SUBMIT[:-2] + ["--stretch", stretch] + root
+        assert main(argv) == 2
+        assert "stretch must be a real number >= 1" in capsys.readouterr().out
+        assert not list((tmp_path / "svc" / "jobs").glob("job-*"))
+
+    def test_status_of_a_flat_legacy_root_prints_the_same_table(self, capsys, tmp_path):
+        import json
+
+        from repro.cli import _job_rows, render_table
+        from repro.service.queue import Job
+
+        jobs_dir = tmp_path / "svc" / "jobs"
+        jobs_dir.mkdir(parents=True)
+        spec = {"workload": {"kind": "geometric"}, "stretch": 1.5}
+        legacy = [
+            Job("job-aaaaaaaaaaaa-0000", spec, state="done", result={"tier": "mst"}),
+            Job("job-aaaaaaaaaaaa-0001", spec),
+            Job("job-bbbbbbbbbbbb-0000", spec, state="quarantined", error="boom"),
+            Job("job-cccccccccccc-0000", spec, state="running", worker_id="w"),
+        ]
+        for job in legacy:
+            (jobs_dir / f"{job.job_id}.json").write_text(json.dumps(job.as_dict()))
+        root = tmp_path / "svc"
+        expected = render_table(_job_rows(legacy), title=f"service jobs under {root}")
+        assert main(["service", "status", "--root", str(root)]) == 1
+        assert capsys.readouterr().out.startswith(expected + "\n")
+        assert sorted(p.name for p in jobs_dir.glob("job-*")) == [
+            "job-aaaaaaaaaaaa-0001.json", "job-cccccccccccc-0000.json",
+        ]
 
     def test_status_unknown_job_exits_2(self, capsys, tmp_path):
         assert main(["service", "status", "job-zzz-0000"] + self._root(tmp_path)) == 2
